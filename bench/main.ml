@@ -1209,33 +1209,23 @@ let e11 () =
    rides the ARQ channel over a wire that drops, duplicates and
    partitions, and the R1-R4 verdicts must not move. *)
 
-let e12_spec ?(partitions = []) ~drop ~dup ~seed () =
-  {
-    Runner.default_spec with
-    seed;
-    time_limit = 5_000_000;
-    quiesce_grace = 20_000;
-    service_config =
-      {
-        Service.default_config with
-        faults =
-          Xnet.Fault.make
-            ~default:(Xnet.Fault.link ~drop ~dup ())
-            ~partitions ();
-        channel = Service.Arq Xnet.Reliable.default_arq;
-      };
-  }
-
-let e12_protocol_run ?partitions ~drop ~dup ~seed () =
+let e12_protocol_run ~faults ~seed () =
   Runner.run
-    ~spec:(e12_spec ?partitions ~drop ~dup ~seed ())
+    ~spec:
+      (Xexplore.Explorer.apply
+         {
+           Runner.default_spec with
+           time_limit = 5_000_000;
+           quiesce_grace = 20_000;
+         }
+         (Xexplore.Schedule.make ~seed ~faults ()))
     ~setup:Workloads.setup_all
     ~workload:(fun _ c s -> Workloads.sequence Workloads.Mixed ~n:5 c s)
     ()
 
 (* The Runner does not expose the service, so ARQ wire counters come
    from a separate direct-service run over the same fault plane. *)
-let e12_wire ?(partitions = []) ~drop ~dup ~seed () =
+let e12_wire ~faults ~seed () =
   let eng = Xsim.Engine.create ~seed ~trace_enabled:false () in
   let env = Xsm.Environment.create eng () in
   ignore (Xsm.Services.Mailer.register env ());
@@ -1243,10 +1233,7 @@ let e12_wire ?(partitions = []) ~drop ~dup ~seed () =
     Service.create eng env
       {
         Service.default_config with
-        faults =
-          Xnet.Fault.make
-            ~default:(Xnet.Fault.link ~drop ~dup ())
-            ~partitions ();
+        faults = Xexplore.Explorer.net_faults_of_plan faults;
         channel = Service.Arq Xnet.Reliable.default_arq;
       }
   in
@@ -1272,35 +1259,30 @@ let e12 () =
   row "%-28s %-6s %-8s %-10s %-10s %-11s %-12s@." "wire" "runs" "x-able"
     "lat mean" "lat p95" "rounds/req" "retransmits";
   let n = seeds 10 in
-  let replica i = Xnet.Address.make ~role:"replica" ~index:i in
+  let wire loss partitions =
+    { Xexplore.Schedule.no_faults with loss; dup_prob = 0.1; partitions }
+  in
   (* Partition the owner itself: in failure-free runs the register
      backend keeps consensus off the wire, so only the client<->owner
      link carries traffic.  Severing it forces the ARQ layer to carry
      requests across the heal. *)
-  let churn =
-    [
-      { Xnet.Fault.from_t = 400; until_t = 1_600; group = [ replica 0 ] };
-      { Xnet.Fault.from_t = 2_000; until_t = 3_200; group = [ replica 1 ] };
-    ]
-  in
+  let churn = [ (400, 1_600, [ 0 ]); (2_000, 3_200, [ 1 ]) ] in
   let configs =
     [
-      ("loss=0.00 dup=0.10", 0.0, 0.1, []);
-      ("loss=0.05 dup=0.10", 0.05, 0.1, []);
-      ("loss=0.10 dup=0.10", 0.1, 0.1, []);
-      ("loss=0.20 dup=0.10", 0.2, 0.1, []);
-      ("loss=0.30 dup=0.10", 0.3, 0.1, []);
-      ("loss=0.10 + partition churn", 0.1, 0.1, churn);
+      ("loss=0.00 dup=0.10", wire 0.0 []);
+      ("loss=0.05 dup=0.10", wire 0.05 []);
+      ("loss=0.10 dup=0.10", wire 0.1 []);
+      ("loss=0.20 dup=0.10", wire 0.2 []);
+      ("loss=0.30 dup=0.10", wire 0.3 []);
+      ("loss=0.10 + partition churn", wire 0.1 churn);
     ]
   in
   let rows = ref [] in
   List.iter
-    (fun (name, drop, dup, partitions) ->
+    (fun (name, faults) ->
       let results =
         psweep n (fun seed ->
-            let r, _ =
-              e12_protocol_run ~partitions ~drop ~dup ~seed:(seed * 7919) ()
-            in
+            let r, _ = e12_protocol_run ~faults ~seed:(seed * 7919) () in
             ( Runner.ok r,
               List.map
                 (fun s -> float_of_int s.Runner.latency)
@@ -1312,7 +1294,7 @@ let e12 () =
       let rounds = Stats.mean (List.map (fun (_, _, x) -> x) results) in
       let retr, acks, dedup =
         let per_seed =
-          List.init 3 (fun i -> e12_wire ~partitions ~drop ~dup ~seed:(1_000 + i) ())
+          List.init 3 (fun i -> e12_wire ~faults ~seed:(1_000 + i) ())
         in
         ( Stats.mean (List.map (fun (r, _, _) -> float_of_int r) per_seed),
           Stats.mean (List.map (fun (_, a, _) -> float_of_int a) per_seed),
@@ -1325,9 +1307,10 @@ let e12 () =
         J_obj
           [
             ("wire", J_str name);
-            ("drop", J_float drop);
-            ("dup", J_float dup);
-            ("partitions", J_int (List.length partitions));
+            ("drop", J_float faults.Xexplore.Schedule.loss);
+            ("dup", J_float faults.Xexplore.Schedule.dup_prob);
+            ( "partitions",
+              J_int (List.length faults.Xexplore.Schedule.partitions) );
             ("runs", J_int n);
             ("ok", J_int ok);
             ("latency_mean", J_float (Stats.mean lats));
@@ -1380,44 +1363,39 @@ let e12 () =
    would be worthless here.  The whole table is computed twice, on a
    1-domain and a 4-domain pool, and must agree byte-for-byte. *)
 
+(* E13, E15 and E16 cells: each cell's dimensions as a schedule, applied
+   to one base whose consensus substrate is a serial sequenced log (30
+   ticks per proposal, Multi-Paxos style).  That log is the contended
+   resource batching and sharding amortize; the same setting applies to
+   every cell, so the comparison is fair.  Without it the simulator's
+   consensus is infinitely parallel and no batching scheme could
+   honestly win a closed loop. *)
+let serial_spec ?(time_limit = 5_000_000) sch =
+  Xexplore.Explorer.apply
+    {
+      Runner.default_spec with
+      time_limit;
+      quiesce_grace = 20_000;
+      service_config =
+        { Service.default_config with consensus_service_time = 30 };
+    }
+    sch
+
+let batching ~batch ~pipeline =
+  ( batch,
+    pipeline,
+    Xreplication.Batcher.default_config.Xreplication.Batcher.tick )
+
 let e13_spec ?(codec = Service.Structural) ~batch ~pipeline ~loss ~seed () =
-  {
-    Runner.default_spec with
-    seed;
-    time_limit = 5_000_000;
-    quiesce_grace = 20_000;
-    (* Closed loop: 4 clients x 8 lanes = 32 outstanding requests, enough
-       concurrently-pending work for batches to actually fill. *)
-    clients = 4;
-    inflight = 8;
-    service_config =
-      {
-        Service.default_config with
-        (* The serial consensus substrate (Multi-Paxos-style sequenced
-           log) is the contended resource batching amortizes; the same
-           setting applies to every cell, so the comparison is fair.
-           Without it the simulator's consensus is infinitely parallel
-           and no batching scheme could honestly win a closed loop. *)
-        consensus_service_time = 30;
-        faults =
-          (if loss > 0.0 then
-             Xnet.Fault.make ~default:(Xnet.Fault.link ~drop:loss ()) ()
-           else Xnet.Fault.none);
-        channel =
-          (if loss > 0.0 then Service.Arq Xnet.Reliable.default_arq
-           else Service.Assumed_reliable);
-        batching =
-          (if batch > 1 || pipeline > 1 then
-             Some
-               {
-                 Xreplication.Batcher.default_config with
-                 size = batch;
-                 depth = pipeline;
-               }
-           else None);
-        codec;
-      };
-  }
+  (* Closed loop: 4 clients x 8 lanes = 32 outstanding requests, enough
+     concurrently-pending work for batches to actually fill. *)
+  serial_spec
+    (Xexplore.Schedule.make ~seed ~load:(4, 8) ~codec
+       ~faults:{ Xexplore.Schedule.no_faults with loss }
+       ?batching:
+         (if batch > 1 || pipeline > 1 then Some (batching ~batch ~pipeline)
+          else None)
+       ())
 
 let e13_run ~batch ~pipeline ~loss ~seed () =
   Runner.run
@@ -1758,29 +1736,14 @@ let e14 () =
 let e15_shard : json ref = ref (J_obj [])
 
 let e15_spec ~shards ~seed () =
-  {
-    Runner.default_spec with
-    seed;
-    time_limit = 20_000_000;
-    quiesce_grace = 20_000;
-    (* Per-shard closed loop: 2 sessions x 2 lanes.  Constant per shard —
-       the sweep is weak scaling, offered load grows with the count. *)
-    clients = 2;
-    inflight = 2;
-    service_config =
-      {
-        Service.default_config with
-        (* Same serial consensus substrate as E13: each group's sequenced
-           log is the contended resource, so extra shards add capacity
-           instead of sharing one infinitely-parallel substrate. *)
-        consensus_service_time = 30;
-        shards;
-        n_clients = 2;
-        batching =
-          Some
-            { Xreplication.Batcher.default_config with size = 16; depth = 4 };
-      };
-  }
+  (* Per-shard closed loop: 2 sessions x 2 lanes.  Constant per shard —
+     the sweep is weak scaling, offered load grows with the count.  Each
+     group has its own serial log, so extra shards add capacity instead
+     of sharing one infinitely-parallel substrate. *)
+  serial_spec ~time_limit:20_000_000
+    (Xexplore.Schedule.make ~seed ~load:(2, 2) ~shards
+       ~batching:(batching ~batch:16 ~pipeline:4)
+       ())
 
 let e15_run ~shards ~seed () =
   Runner.run_sharded
@@ -1913,57 +1876,30 @@ let e15 () =
 
 let e16_lease : json ref = ref (J_obj [])
 
-let e16_substrates =
-  [
-    ("register", `Register 25);
-    ("paxos", `Paxos (Xnet.Latency.Uniform (10, 40)));
-    ("seqlog", `Seqlog (Xnet.Latency.Uniform (10, 40)));
-  ]
-
-let e16_spec ~substrate ~lease ~loss ~seed () =
-  {
-    Runner.default_spec with
-    seed;
-    time_limit = 5_000_000;
-    quiesce_grace = 20_000;
-    (* E13's closed loop: enough outstanding work for batches to fill. *)
-    clients = 4;
-    inflight = 8;
-    service_config =
-      {
-        Service.default_config with
-        consensus_service_time = 30;
-        substrate;
-        lease =
-          (if lease then Some Xreplication.Lease.default_config else None);
-        faults =
-          (if loss > 0.0 then
-             Xnet.Fault.make ~default:(Xnet.Fault.link ~drop:loss ~dup:0.1 ()) ()
-           else Xnet.Fault.none);
-        channel =
-          (if loss > 0.0 then Service.Arq Xnet.Reliable.default_arq
-           else Service.Assumed_reliable);
-        batching =
-          Some
-            { Xreplication.Batcher.default_config with size = 16; depth = 4 };
-      };
-  }
-
-let e16_run ~substrate ~lease ~loss ~seed () =
-  Runner.run
-    ~spec:(e16_spec ~substrate ~lease ~loss ~seed ())
-    ~setup:Workloads.setup_all
+let e16_run ~sub_name ~lease ~loss ~seed () =
+  (* E13's closed loop: enough outstanding work for batches to fill. *)
+  let spec =
+    serial_spec
+      (Xexplore.Schedule.make ~seed ~load:(4, 8) ~substrate:sub_name ~lease
+         ~faults:
+           (if loss > 0.0 then
+              { Xexplore.Schedule.no_faults with loss; dup_prob = 0.1 }
+            else Xexplore.Schedule.no_faults)
+         ~batching:(batching ~batch:16 ~pipeline:4)
+         ())
+  in
+  Runner.run ~spec ~setup:Workloads.setup_all
     ~workload:(fun _ c s -> Workloads.sequence Workloads.Mixed ~n:4 c s)
     ()
 
 (* One cell over [n] seeds on [pool]; plain data out so two pools'
    tables compare structurally.  [oks] keeps the per-seed verdicts so
    substrate identity can be checked seed-by-seed, not just in count. *)
-let e16_cell ~pool ~n ~sub_name ~substrate ~lease ~loss =
+let e16_cell ~pool ~n ~sub_name ~lease ~loss =
   let results =
     Pool.map pool
       (fun seed ->
-        let r, _ = e16_run ~substrate ~lease ~loss ~seed:(seed * 7919) () in
+        let r, _ = e16_run ~sub_name ~lease ~loss ~seed:(seed * 7919) () in
         let requests = max 1 (List.length r.Runner.submissions) in
         ( Runner.ok r,
           Stats.ratio (1000 * requests) (max 1 r.Runner.work_end_time),
@@ -1994,17 +1930,14 @@ let e16 () =
     List.concat_map
       (fun loss ->
         List.concat_map
-          (fun (sub_name, substrate) ->
-            List.map
-              (fun lease -> (sub_name, substrate, lease, loss))
-              [ false; true ])
-          e16_substrates)
+          (fun sub_name ->
+            List.map (fun lease -> (sub_name, lease, loss)) [ false; true ])
+          Xreplication.Coord.substrate_names)
       [ 0.0; 0.1 ]
   in
   let table pool =
     List.map
-      (fun (sub_name, substrate, lease, loss) ->
-        e16_cell ~pool ~n ~sub_name ~substrate ~lease ~loss)
+      (fun (sub_name, lease, loss) -> e16_cell ~pool ~n ~sub_name ~lease ~loss)
       cells
   in
   let pool1 = Pool.create ~domains:1 () in

@@ -24,6 +24,10 @@ open Cmdliner
 module Runner = Xworkload.Runner
 module Workloads = Xworkload.Workloads
 module Service = Xreplication.Service
+module Explorer = Xexplore.Explorer
+module Schedule = Xexplore.Schedule
+module Strategy = Xexplore.Strategy
+module Mutation = Xreplication.Mutation
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing *)
@@ -154,22 +158,19 @@ let partitions_arg =
           "Sever the listed replicas from everyone else during \
            [START, HEAL) virtual time (repeatable).")
 
-let fault_plan_of loss dup jitter partitions =
-  {
-    Xexplore.Schedule.loss;
-    dup_prob = dup;
-    jitter;
-    partitions;
-    forced = [];
-  }
+let faults_arg =
+  let plan loss dup_prob jitter partitions =
+    { Schedule.loss; dup_prob; jitter; partitions; forced = [] }
+  in
+  Term.(const plan $ loss_arg $ dup_arg $ jitter_arg $ partitions_arg)
 
 let substrate_arg =
   Arg.(
     value
     & opt
         (enum
-           [ ("register", `Register); ("paxos", `Paxos); ("seqlog", `Seqlog) ])
-        `Register
+           (List.map (fun n -> (n, n)) Xreplication.Coord.substrate_names))
+        "register"
     & info [ "substrate"; "backend" ] ~docv:"S"
         ~doc:
           "Consensus substrate: $(b,register) (remote atomic cell), \
@@ -252,66 +253,49 @@ let codec_arg =
            Verdicts are identical either way; flat exercises the codecs and \
            the allocation-free send path.")
 
-let batching_of ~batch ~pipeline =
-  if batch > 1 || pipeline > 1 then
-    Some
-      {
-        Xreplication.Batcher.default_config with
-        size = max 1 batch;
-        depth = max 1 pipeline;
-      }
-  else None
-
-let make_spec ?(faults = Xexplore.Schedule.no_faults) ?(batch = 1)
-    ?(pipeline = 1) ?(clients = 1) ?(inflight = 1)
-    ?(codec = Service.Structural) ?(shards = 1) ?(lease = false) seed
-    n_replicas crashes noise fail_prob substrate detector client_crash =
-  let net_faults = Xexplore.Explorer.net_faults_of_plan faults in
-  let channel =
-    if Xexplore.Schedule.faults_are_none faults then Service.Assumed_reliable
-    else Service.Arq Xnet.Reliable.default_arq
+(* [--batch]/[--pipeline] as a schedule's batching dimension: off unless
+   either is above 1. *)
+let batching_arg =
+  let batching batch pipeline =
+    if batch > 1 || pipeline > 1 then
+      Some
+        ( max 1 batch,
+          max 1 pipeline,
+          Xreplication.Batcher.default_config.Xreplication.Batcher.tick )
+    else None
   in
-  let service_config =
+  Term.(const batching $ batch_arg $ pipeline_arg)
+
+(* What a schedule does not describe: replica count, detector, action
+   failure probability and time limits.  The run/stats/trace commands
+   build a [Schedule.t] from the remaining flags and take their spec
+   from [Explorer.apply] on this base. *)
+let base_spec_arg =
+  let base n_replicas fail_prob detector =
     {
-      Service.default_config with
-      n_replicas;
-      faults = net_faults;
-      channel;
-      substrate =
-        (match substrate with
-        | `Register -> `Register 25
-        | `Paxos -> `Paxos (Xnet.Latency.Uniform (10, 40))
-        | `Seqlog -> `Seqlog (Xnet.Latency.Uniform (10, 40)));
-      lease =
-        (if lease then Some Xreplication.Lease.default_config else None);
-      detector =
-        (match detector with
-        | `Oracle -> Service.default_config.Service.detector
-        | `Heartbeat ->
-            Service.Heartbeat
-              {
-                latency = Xnet.Latency.Constant 10;
-                period = 40;
-                initial_timeout = 160;
-                timeout_increment = 120;
-              });
-      batching = batching_of ~batch ~pipeline;
-      codec;
-      shards;
+      Runner.default_spec with
+      env_config = { Xsm.Environment.default_config with fail_prob };
+      service_config =
+        {
+          Service.default_config with
+          n_replicas;
+          detector =
+            (match detector with
+            | `Oracle -> Service.default_config.Service.detector
+            | `Heartbeat ->
+                Service.Heartbeat
+                  {
+                    latency = Xnet.Latency.Constant 10;
+                    period = 40;
+                    initial_timeout = 160;
+                    timeout_increment = 120;
+                  });
+        };
+      time_limit = 5_000_000;
+      quiesce_grace = 20_000;
     }
   in
-  {
-    Runner.seed;
-    crashes;
-    noise;
-    client_crash_at = client_crash;
-    env_config = { Xsm.Environment.default_config with fail_prob };
-    service_config;
-    time_limit = 5_000_000;
-    quiesce_grace = 20_000;
-    clients;
-    inflight;
-  }
+  Term.(const base $ replicas_arg $ fail_prob_arg $ detector_arg)
 
 let print_result (r : Runner.result) =
   Format.printf "workload completed : %b@." r.Runner.completed;
@@ -359,13 +343,13 @@ let print_result (r : Runner.result) =
 
 let run_cmd =
   let doc = "Run one replication scenario and verify R1-R4." in
-  let run seed n crashes noise fail_prob substrate detector requests mix
-      client_crash loss dup jitter partitions batch pipeline clients inflight
-      codec shards lease =
-    let faults = fault_plan_of loss dup jitter partitions in
+  let run base seed crashes noise substrate requests mix client_crash faults
+      batching clients inflight codec shards lease =
     let spec =
-      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~codec ~shards
-        ~lease seed n crashes noise fail_prob substrate detector client_crash
+      Explorer.apply base
+        (Schedule.make ~crashes ?client_crash_at:client_crash ?noise ~faults
+           ?batching ~load:(clients, inflight) ~codec ~shards ~lease ~substrate
+           ~seed ())
     in
     if shards > 1 then begin
       (* Sharded deployment: per-shard closed loop over the cross-shard
@@ -401,11 +385,10 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ seed_arg $ replicas_arg $ crashes_arg $ noise_arg
-      $ fail_prob_arg $ substrate_arg $ detector_arg $ requests_arg $ mix_arg
-      $ client_crash_arg $ loss_arg $ dup_arg $ jitter_arg $ partitions_arg
-      $ batch_arg $ pipeline_arg $ clients_arg $ inflight_arg $ codec_arg
-      $ shards_arg $ lease_arg)
+      const run $ base_spec_arg $ seed_arg $ crashes_arg $ noise_arg
+      $ substrate_arg $ requests_arg $ mix_arg $ client_crash_arg $ faults_arg
+      $ batching_arg $ clients_arg $ inflight_arg $ codec_arg $ shards_arg
+      $ lease_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -443,18 +426,12 @@ let sweep_cmd =
             Xpar.Pool.map pool
               (fun seed ->
                 let spec =
-                  {
-                    Runner.default_spec with
-                    seed = (p * 1000) + seed;
-                    noise =
-                      (if prob > 0.0 then Some (prob, 150, 8_000) else None);
-                    time_limit = 5_000_000;
-                    service_config =
-                      {
-                        Runner.default_spec.Runner.service_config with
-                        Service.codec;
-                      };
-                  }
+                  Explorer.apply
+                    { Runner.default_spec with time_limit = 5_000_000 }
+                    (Schedule.make ~seed:((p * 1000) + seed) ~codec
+                       ?noise:
+                         (if prob > 0.0 then Some (prob, 150, 8_000) else None)
+                       ())
                 in
                 let r, _ =
                   Runner.run ~spec ~setup:Workloads.setup_all
@@ -495,10 +472,11 @@ let trace_cmd =
             "Emit the full engine trace as JSON Lines on stdout (one object \
              per entry) instead of the human-readable history.")
   in
-  let trace seed n crashes noise fail_prob backend detector requests mix
-      client_crash json =
+  let trace base seed crashes noise substrate requests mix client_crash json =
     let spec =
-      make_spec seed n crashes noise fail_prob backend detector client_crash
+      Explorer.apply base
+        (Schedule.make ~crashes ?client_crash_at:client_crash ?noise ~substrate
+           ~seed ())
     in
     let env_ref = ref None in
     let eng_ref = ref None in
@@ -534,17 +512,11 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const trace $ seed_arg $ replicas_arg $ crashes_arg $ noise_arg
-      $ fail_prob_arg $ substrate_arg $ detector_arg $ requests_arg $ mix_arg
-      $ client_crash_arg $ json_arg)
+      const trace $ base_spec_arg $ seed_arg $ crashes_arg $ noise_arg
+      $ substrate_arg $ requests_arg $ mix_arg $ client_crash_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explore / replay *)
-
-module Explorer = Xexplore.Explorer
-module Schedule = Xexplore.Schedule
-module Strategy = Xexplore.Strategy
-module Mutation = Xreplication.Mutation
 
 let scenario_arg =
   Arg.(
@@ -585,13 +557,27 @@ let jobs_arg =
           "Worker domains (default: the $(b,JOBS) environment variable). \
            Results are byte-identical whatever the pool size.")
 
-let make_scenario ?(faults = Schedule.no_faults) scenario requests seed noise =
+(* The scenario's [codec] flows into every explored schedule's [codec]
+   field, so counterexample lines record the wire representation they
+   were found under. *)
+let make_scenario ?(faults = Schedule.no_faults) ?(codec = Service.Structural)
+    scenario requests seed noise =
   let scen =
     match scenario with
     | `Booking -> Explorer.booking ~requests ~faults ()
     | `Mixed -> Explorer.mixed ~requests ~faults ()
   in
-  { scen with Explorer.spec = { scen.Explorer.spec with Runner.seed; noise } }
+  let spec = scen.Explorer.spec in
+  {
+    scen with
+    Explorer.spec =
+      {
+        spec with
+        Runner.seed;
+        noise;
+        service_config = { spec.Runner.service_config with Service.codec };
+      };
+  }
 
 let explore_cmd =
   let doc = "Search the schedule space for x-ability violations." in
@@ -662,29 +648,11 @@ let explore_cmd =
           ~doc:"Append verdicts and counterexamples as JSON Lines to FILE.")
   in
   let explore scenario requests seed noise mutation strategy trials budget
-      window jobs expect out loss dup jitter partitions seeds batch pipeline
-      codec shards =
+      window jobs expect out faults seeds batch pipeline codec shards =
     (* Under walk/dfs/faults, any --loss/--dup/--partition plan is stamped
        on every schedule; the net strategy sweeps its own plans instead. *)
-    let base_faults = fault_plan_of loss dup jitter partitions in
-    let scen = make_scenario ~faults:base_faults scenario requests seed noise in
-    (* The scenario-level codec flows into every schedule's [codec] field
-       via the strategies' base schedule, so counterexample lines record
-       the wire representation they were found under. *)
-    let scen =
-      {
-        scen with
-        Explorer.spec =
-          {
-            scen.Explorer.spec with
-            Runner.service_config =
-              {
-                scen.Explorer.spec.Runner.service_config with
-                Service.codec;
-              };
-          };
-      }
-    in
+    let { Schedule.loss; dup_prob = dup; jitter; partitions; _ } = faults in
+    let scen = make_scenario ~faults ~codec scenario requests seed noise in
     let strategies =
       let walk = Strategy.random_walk ~trials ~window () in
       let dfs = Strategy.delay_dfs ~budget ~window () in
@@ -798,9 +766,8 @@ let explore_cmd =
     Term.(
       const explore $ scenario_arg $ requests_arg $ seed_arg $ noise_arg
       $ mutation_arg $ strategy_arg $ trials_arg $ budget_arg $ window_arg
-      $ jobs_arg $ expect_arg $ out_arg $ loss_arg $ dup_arg $ jitter_arg
-      $ partitions_arg $ seeds_arg $ batch_arg $ pipeline_arg $ codec_arg
-      $ shards_arg)
+      $ jobs_arg $ expect_arg $ out_arg $ faults_arg $ seeds_arg $ batch_arg
+      $ pipeline_arg $ codec_arg $ shards_arg)
 
 let replay_cmd =
   let doc = "Replay a schedule printed by $(b,xrepl explore)." in
@@ -934,15 +901,15 @@ let stats_cmd =
              stdout): line 1 the scenario run, line 2 the merged explore \
              sweep.")
   in
-  let stats seed n crashes noise fail_prob substrate detector requests mix
-      client_crash trials obs_json loss dup jitter partitions batch pipeline
-      clients inflight codec lease =
+  let stats base seed crashes noise substrate requests mix client_crash trials
+      obs_json faults batching clients inflight codec lease =
     Xobs.set_enabled true;
     Xobs.reset ();
-    let faults = fault_plan_of loss dup jitter partitions in
     let spec =
-      make_spec ~faults ~batch ~pipeline ~clients ~inflight ~codec ~lease seed
-        n crashes noise fail_prob substrate detector client_crash
+      Explorer.apply base
+        (Schedule.make ~crashes ?client_crash_at:client_crash ?noise ~faults
+           ?batching ~load:(clients, inflight) ~codec ~lease ~substrate ~seed
+           ())
     in
     let r, _ =
       Runner.run ~spec ~setup:Workloads.setup_all
@@ -990,10 +957,9 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const stats $ seed_arg $ replicas_arg $ crashes_arg $ noise_arg
-      $ fail_prob_arg $ substrate_arg $ detector_arg $ requests_arg $ mix_arg
-      $ client_crash_arg $ explore_trials_arg $ obs_json_arg $ loss_arg
-      $ dup_arg $ jitter_arg $ partitions_arg $ batch_arg $ pipeline_arg
+      const stats $ base_spec_arg $ seed_arg $ crashes_arg $ noise_arg
+      $ substrate_arg $ requests_arg $ mix_arg $ client_crash_arg
+      $ explore_trials_arg $ obs_json_arg $ faults_arg $ batching_arg
       $ clients_arg $ inflight_arg $ codec_arg $ lease_arg)
 
 (* ------------------------------------------------------------------ *)

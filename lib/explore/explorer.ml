@@ -127,15 +127,15 @@ let net_faults_of_plan (fp : Schedule.fault_plan) =
            fp.Schedule.forced)
       ()
 
-let apply scenario (sch : Schedule.t) : Runner.spec =
-  let sc = scenario.spec.Runner.service_config in
+let apply (base : Runner.spec) (sch : Schedule.t) : Runner.spec =
+  let sc = base.Runner.service_config in
   let replica =
     { sc.Xreplication.Service.replica with mutation = sch.Schedule.mutation }
   in
   (* A schedule with a fault plan means "lossy wire under the reliable
-     channel layer": the ARQ channel is switched in unless the scenario
+     channel layer": the ARQ channel is switched in unless the base spec
      explicitly configured one.  Raw-lossy runs (channel assumption
-     knowingly broken) are configured on the scenario spec directly, not
+     knowingly broken) are configured on the base spec directly, not
      through schedules. *)
   let faults, channel =
     if Schedule.faults_are_none sch.Schedule.faults then
@@ -148,7 +148,7 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
         | c -> c )
   in
   (* Batching/load dimensions: a schedule that carries them overrides
-     the scenario; one that does not leaves the scenario's own setting
+     the base; one that does not leaves the base's own setting
      (usually off/sequential) untouched. *)
   let batching =
     match sch.Schedule.batching with
@@ -158,10 +158,10 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
   let clients, inflight =
     match sch.Schedule.load with
     | Some (c, k) -> (c, k)
-    | None -> (scenario.spec.Runner.clients, scenario.spec.Runner.inflight)
+    | None -> (base.Runner.clients, base.Runner.inflight)
   in
   (* A [Flat] schedule switches the wire representation on; [Structural]
-     (the default) leaves the scenario's own setting untouched. *)
+     (the default) leaves the base's own setting untouched. *)
   let codec =
     match sch.Schedule.codec with
     | Xreplication.Service.Flat -> Xreplication.Service.Flat
@@ -186,22 +186,23 @@ let apply scenario (sch : Schedule.t) : Runner.spec =
   in
   (* Lease/substrate overrides: a [lease=1] schedule arms the leased-owner
      fast path with the default grant parameters; a [sub=<name>] schedule
-     swaps the consensus substrate (latencies match xrepl's --substrate
-     flag).  Both default to the scenario's own settings, so pre-existing
+     swaps the consensus substrate ({!Xreplication.Coord.substrates}).
+     Both default to the base's own settings, so pre-existing
      schedules replay byte-identically. *)
   let lease =
     if sch.Schedule.lease then Some Xreplication.Lease.default_config
     else sc.Xreplication.Service.lease
   in
   let substrate =
-    match sch.Schedule.substrate with
-    | Some "register" -> `Register 25
-    | Some "paxos" -> `Paxos (Xnet.Latency.Uniform (10, 40))
-    | Some "seqlog" -> `Seqlog (Xnet.Latency.Uniform (10, 40))
-    | Some _ | None -> sc.Xreplication.Service.substrate
+    match
+      Option.bind sch.Schedule.substrate (fun name ->
+          List.assoc_opt name Xreplication.Coord.substrates)
+    with
+    | Some s -> s
+    | None -> sc.Xreplication.Service.substrate
   in
   {
-    scenario.spec with
+    base with
     Runner.seed = sch.Schedule.seed;
     crashes = sch.Schedule.crashes;
     client_crash_at = sch.Schedule.client_crash_at;
@@ -232,7 +233,7 @@ let run_with ?cache ?(with_trace = false) scenario sch
      a pure function of the schedule, independent of pool placement. *)
   let obs_on = Xobs.enabled () in
   if obs_on then Xobs.reset ();
-  let spec = apply scenario sch in
+  let spec = apply scenario.spec sch in
   let eng_ref = ref None in
   let mon_ref = ref None in
   let prepare eng env =

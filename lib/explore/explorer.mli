@@ -70,6 +70,14 @@ val net_faults_of_plan : Schedule.fault_plan -> Xnet.Fault.t
     transport's terms ({!Xnet.Fault.t}); partition indices become
     replica addresses. *)
 
+val apply : Xworkload.Runner.spec -> Schedule.t -> Xworkload.Runner.spec
+(** [apply base sch] is the run spec of schedule [sch]: the schedule's
+    seed, crashes, client crash and noise, plus every protocol dimension
+    it overrides (mutation, fault plan under the ARQ channel, batching,
+    load, codec, shards, router blocks, lease, substrate).  What a
+    schedule does not describe — replica count, detector, action
+    failure probability, time limits — comes from [base]. *)
+
 val run_schedule : ?cache:Checker.cache -> scenario -> Schedule.t -> outcome
 (** Replay one schedule (chooser + monitor installed) and judge it. *)
 

@@ -351,7 +351,8 @@ let of_string line =
       let* substrate =
         match Option.value (field "sub") ~default:"-" with
         | "-" -> Some None
-        | ("register" | "paxos" | "seqlog") as s -> Some (Some s)
+        | s when List.mem s Xreplication.Coord.substrate_names ->
+            Some (Some s)
         | _ -> None
       in
       let faults = { loss; dup_prob; jitter; partitions; forced } in

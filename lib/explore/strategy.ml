@@ -132,7 +132,7 @@ let cross_shard ?(shards = 4) ?(group_size = 3)
    renewal, expiry, each ±ε), a suspicion burst ending just past each
    instant, and 4 holder partitions straddling the boundaries.  The
    defaults give 27 × 3 substrates × 7 seeds = 567 schedules. *)
-let lease_edge ?(substrates = [ "register"; "paxos"; "seqlog" ])
+let lease_edge ?(substrates = Xreplication.Coord.substrate_names)
     ?(renew_interval = 200) ?(duration = 600) ?(seeds = 7) () =
   Lease_edge { seeds; substrates; renew_interval; duration }
 

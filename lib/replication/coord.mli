@@ -28,8 +28,13 @@ type substrate =
   | `Paxos of Xnet.Latency.t  (** message latency among replicas *)
   | `Seqlog of Xnet.Latency.t  (** message latency among replicas *) ]
 
-type backend = substrate
-(** Historical name for {!substrate}. *)
+val substrates : (string * substrate) list
+(** Every substrate by name, at the latencies the CLI, the explorer's
+    [sub=] schedules and the benchmarks run it with: [register] 25,
+    [paxos] and [seqlog] uniform(10, 40). *)
+
+val substrate_names : string list
+(** The names of {!substrates}, in order. *)
 
 type t
 

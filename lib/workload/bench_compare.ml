@@ -180,29 +180,43 @@ module Json = struct
 end
 
 (* Is a larger value of this metric better, worse, or unjudged?  Matched
-   on the leaf name so the table can mark regressions without a schema. *)
+   on the [_]-separated tokens of the leaf name so the table can mark
+   regressions without a schema: [has "msgs_per_req"] asks for those
+   three tokens in a row, so "lookups" never matches "ok" and
+   "schedules_per_s" is a rate, not a duration. *)
 let metric_direction path =
   let leaf =
     match String.rindex_opt path '.' with
     | Some i -> String.sub path (i + 1) (String.length path - i - 1)
     | None -> path
   in
-  let has sub =
-    let ls = String.length sub and ll = String.length leaf in
-    let rec at i = i + ls <= ll && (String.sub leaf i ls = sub || at (i + 1)) in
-    at 0
+  let tokens = String.split_on_char '_' leaf in
+  let has pat =
+    let rec prefix p l =
+      match (p, l) with
+      | [], _ -> true
+      | x :: p', y :: l' -> String.equal x y && prefix p' l'
+      | _ :: _, [] -> false
+    in
+    let p = String.split_on_char '_' pat in
+    let rec at l = prefix p l || match l with [] -> false | _ :: l' -> at l' in
+    at tokens
+  in
+  let per_s =
+    match List.rev tokens with "s" :: "per" :: _ -> true | _ -> false
   in
   if
-    has "req_per_s" || has "speedup" || has "ok" || has "identical"
+    per_s || has "req_per_s" || has "speedup" || has "ok" || has "identical"
     || has "explored"
   then `Higher_better
   else if
-    has "latency" || has "wall_s" || has "ns_per_run" || has "violating"
+    has "latency" || has "ns_per_run" || has "violating"
     || has "consensus_per_request"
     || has "wire_messages_per_request"
     || has "msgs_per_request" || has "messages_per_request"
     || has "msgs_per_req" || has "lease_misses" || has "lease_expiries"
-    || has "retransmit" || has "drops" || has "minor_words" || has "_s"
+    || has "retransmit" || has "retransmits" || has "drops"
+    || has "minor_words" || has "visited" || has "s"
   then `Lower_better
   else `Unjudged
 

@@ -32,7 +32,8 @@ end
 
 val metric_direction : string -> [ `Higher_better | `Lower_better | `Unjudged ]
 (** Is a larger value of this metric better, worse, or unjudged?
-    Matched on the path's leaf name, schema-free. *)
+    Matched on the [_]-separated tokens of the path's leaf name,
+    schema-free; a leaf ending in [per_s] is a rate (higher-better). *)
 
 type summary = {
   compared : int;  (** paths present in both reports *)

@@ -71,10 +71,52 @@ let failures r =
   if r.duplicate_effects = 0 then []
   else [ Printf.sprintf "duplicate effects: %d" r.duplicate_effects ]
 
-let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
+(* What a single-group and a sharded run differ in.  Everything else —
+   driving the protocol, injecting faults, quiescing, judging R1–R4 on
+   the environment history and assembling the result — is [drive]. *)
+type deployment = {
+  lanes : (Xsim.Proc.t * string * (unit -> unit)) list;
+      (* workload lanes, in spawn order *)
+  kill_replica : int -> unit;
+  kill_client : unit -> unit;
+  groups : Xreplication.Service.t list;  (* oracles and heartbeats to read *)
+  totals : unit -> Xreplication.Service.totals;
+  issued : unit -> Xsm.Request.t list;  (* the R3 expectation, in order *)
+  submissions : unit -> submission list;
+  crashed_last : unit -> Xsm.Request.t option;
+      (* the crashed client's last issued request *)
+  judge :
+    History.t ->
+    Checker.expected list ->
+    Checker.report * (int * Checker.report) list;
+      (* R3 verdict and, for a sharded run, the per-shard verdicts *)
+}
+
+(* A checker group's identity: (base action, logical request). *)
+module Group_key = struct
+  type t = Action.name * Value.t
+
+  let equal (a, l) (b, m) = String.equal a b && Value.equal l m
+  let hash (a, l) = Hashtbl.hash (Hashtbl.hash a, Value.hash l)
+end
+
+module Group_tbl = Hashtbl.Make (Group_key)
+
+let key_of (e : Checker.expected) = (e.Checker.action, e.Checker.logical)
+
+(* Each request's first group in the report, keyed by (action, logical):
+   later groups with the same key can only be empty duplicates. *)
+let group_index (report : Checker.report) =
+  let tbl = Group_tbl.create (List.length report.Checker.groups) in
+  List.iter
+    (fun (g : Checker.group_result) ->
+      let key = key_of g.Checker.expected in
+      if not (Group_tbl.mem tbl key) then Group_tbl.add tbl key g)
+    report.Checker.groups;
+  tbl
+
+let drive ~spec ?prepare ~aborted ~setup deploy =
   let n_clients = max 1 spec.clients in
-  let n_lanes = max 1 spec.inflight in
-  let workers = n_clients * n_lanes in
   let spec =
     if n_clients <= spec.service_config.Xreplication.Service.n_clients then
       spec
@@ -89,59 +131,33 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
   let env = Xsm.Environment.create eng ~config:spec.env_config () in
   (match prepare with Some f -> f eng env | None -> ());
   let srv = setup env in
-  let svc = Xreplication.Service.create eng env spec.service_config in
-  let client = Xreplication.Service.client svc 0 in
-  let submissions_rev = ref [] in
-  let issued_rev = ref [] in
+  let handle, d = deploy spec eng env srv in
   let done_iv = Xsim.Ivar.create () in
-  let submit_on client req =
-    issued_rev := req :: !issued_rev;
-    let t0 = Xsim.Engine.now eng in
-    let reply = Xreplication.Client.submit_until_success client req in
-    submissions_rev :=
-      { req; reply; latency = Xsim.Engine.now eng - t0 } :: !submissions_rev;
-    reply
-  in
-  let submit = submit_on client in
-  if workers = 1 then
-    Xsim.Engine.spawn eng
-      ~proc:(Xreplication.Client.proc client)
-      ~name:"workload"
-      (fun () ->
-        workload srv client submit;
-        Xsim.Ivar.fill done_iv ())
-  else begin
-    (* Closed loop: [clients] client processes, each driving [inflight]
-       concurrent lanes of the workload.  The run completes when every
-       lane has. *)
-    let remaining = ref workers in
-    for c = 0 to n_clients - 1 do
-      let cl = Xreplication.Service.client svc c in
-      for k = 0 to n_lanes - 1 do
-        Xsim.Engine.spawn eng
-          ~proc:(Xreplication.Client.proc cl)
-          ~name:(Printf.sprintf "workload%d.%d" c k)
-          (fun () ->
-            workload srv cl (submit_on cl);
-            decr remaining;
-            if !remaining = 0 then Xsim.Ivar.fill done_iv ())
-      done
-    done
-  end;
+  let remaining = ref (List.length d.lanes) in
+  List.iter
+    (fun (proc, name, body) ->
+      Xsim.Engine.spawn eng ~proc ~name (fun () ->
+          body ();
+          decr remaining;
+          if !remaining = 0 then Xsim.Ivar.fill done_iv ()))
+    d.lanes;
   List.iter
     (fun (at, idx) ->
-      Xsim.Engine.schedule eng ~delay:at (fun () ->
-          Xreplication.Service.kill_replica svc idx))
+      Xsim.Engine.schedule eng ~delay:at (fun () -> d.kill_replica idx))
     spec.crashes;
   (match spec.client_crash_at with
-  | Some at ->
-      Xsim.Engine.schedule eng ~delay:at (fun () ->
-          Xreplication.Service.kill_client svc 0)
+  | Some at -> Xsim.Engine.schedule eng ~delay:at d.kill_client
   | None -> ());
-  (match (spec.noise, Xreplication.Service.oracle svc) with
-  | Some (probability, duration, until), Some o ->
-      Xdetect.Oracle.enable_noise o ~probability ~duration ~until ()
-  | _ -> ());
+  (match spec.noise with
+  | Some (probability, duration, until) ->
+      List.iter
+        (fun g ->
+          match Xreplication.Service.oracle g with
+          | Some o ->
+              Xdetect.Oracle.enable_noise o ~probability ~duration ~until ()
+          | None -> ())
+        d.groups
+  | None -> ());
   (* Drive until the workload completes (or the hard limit). *)
   let work_end = ref 0 in
   Xsim.Ivar.watch done_iv (fun () ->
@@ -171,39 +187,34 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
   in
   quiesce ();
   let completed = Xsim.Ivar.is_full done_iv in
-  let issued = List.rev !issued_rev in
-  let submissions = List.rev !submissions_rev in
+  let issued = d.issued () in
+  let submissions = d.submissions () in
   let history = Xsm.Environment.history env in
-  let kinds = Xsm.Environment.kind_of env in
   let expected = List.map (Xsm.Environment.checker_expected env) issued in
-  let check exp =
-    (* Concurrent lanes have no per-client sequential order to check. *)
-    Checker.check ~kinds ~logical_of:Xsm.Request.logical_of_env_iv
-      ~round_of:Xsm.Request.round_of_env_iv ~engine:`Hybrid
-      ~check_order:(workers = 1) ?cache ~expected:exp history
-  in
-  let report =
-    let full = check expected in
-    if full.Checker.ok || completed then full
+  let ((report, _) as verdict) =
+    let ((full, _) as full_verdict) = d.judge history expected in
+    if full.Checker.ok || completed then full_verdict
     else
-      (* Client crashed: also accept the history without the last issued
-         request, provided that request left no events (at-most-once). *)
-      match List.rev expected with
-      | last :: rest_rev ->
-          let without_last = check (List.rev rest_rev) in
-          let last_untouched =
-            List.for_all
-              (fun (g : Checker.group_result) ->
-                not
-                  (g.expected.Checker.action = last.Checker.action
-                  && Value.equal g.expected.Checker.logical
-                       last.Checker.logical)
-                || g.events = 0)
-              full.Checker.groups
+      (* Client crashed: also accept the history without the crashed
+         client's last issued request, provided that request left no
+         events (at-most-once, section 4). *)
+      match d.crashed_last () with
+      | Some last_req ->
+          let last = key_of (Xsm.Environment.checker_expected env last_req) in
+          let ((without_last, _) as without_verdict) =
+            d.judge history
+              (List.filter
+                 (fun e -> not (Group_key.equal (key_of e) last))
+                 expected)
           in
-          if without_last.Checker.ok && last_untouched then without_last
-          else full
-      | [] -> full
+          let last_untouched =
+            match Group_tbl.find_opt (group_index full) last with
+            | Some g -> g.Checker.events = 0
+            | None -> true
+          in
+          if without_last.Checker.ok && last_untouched then without_verdict
+          else full_verdict
+      | None -> full_verdict
   in
   let r4_violations =
     List.filter_map
@@ -223,37 +234,35 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
      before outcome-consensus can return a value from a round that was
      later aborted — still a possible reply, but of no surviving effect. *)
   let reply_mismatches =
+    let groups = group_index report in
     List.filter_map
       (fun s ->
-        let exp = Xsm.Environment.checker_expected env s.req in
-        let settled =
-          List.find_map
-            (fun (g : Checker.group_result) ->
-              if
-                g.expected.Checker.action = exp.Checker.action
-                && Value.equal g.expected.Checker.logical exp.Checker.logical
-              then g.output
-              else None)
-            report.Checker.groups
-        in
-        match settled with
-        | Some v when not (Value.equal s.reply v) ->
+        let key = key_of (Xsm.Environment.checker_expected env s.req) in
+        match Group_tbl.find_opt groups key with
+        | Some { Checker.output = Some v; _ } when not (Value.equal s.reply v)
+          ->
             Some
-              (Printf.sprintf "client accepted %s for %s but its effect settled on %s"
+              (Printf.sprintf
+                 "client accepted %s for %s but its effect settled on %s"
                  (Value.to_string s.reply) (Xsm.Request.key s.req)
                  (Value.to_string v))
         | _ -> None)
       submissions
   in
   let false_suspicions =
-    match
-      (Xreplication.Service.oracle svc, Xreplication.Service.heartbeat svc)
-    with
-    | Some o, _ -> Xdetect.Oracle.false_suspicions o
-    | None, Some hb -> Xdetect.Heartbeat.false_suspicions hb
-    | None, None -> 0
+    List.fold_left
+      (fun acc g ->
+        acc
+        +
+        match
+          (Xreplication.Service.oracle g, Xreplication.Service.heartbeat g)
+        with
+        | Some o, _ -> Xdetect.Oracle.false_suspicions o
+        | None, Some hb -> Xdetect.Heartbeat.false_suspicions hb
+        | None, None -> 0)
+      0 d.groups
   in
-  let totals = Xreplication.Service.totals svc in
+  let totals = d.totals () in
   (* Modelled substrate messages per served request, in milli-units so the
      integer gauge keeps two decimals (4000 = 4.0 msgs/request). *)
   if Xobs.enabled () then
@@ -284,9 +293,66 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
       rounds_per_request =
         Stats.ratio totals.Xreplication.Service.rounds_owned
           (max 1 (List.length issued));
-      shard_reports = [];
+      shard_reports = snd verdict;
     }
   in
+  (result, srv, handle)
+
+let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
+  let deploy spec eng env srv =
+    let n_clients = max 1 spec.clients in
+    let n_lanes = max 1 spec.inflight in
+    let workers = n_clients * n_lanes in
+    let svc = Xreplication.Service.create eng env spec.service_config in
+    let submissions_rev = ref [] in
+    let issued_rev = ref [] in
+    let submit_on client req =
+      issued_rev := req :: !issued_rev;
+      let t0 = Xsim.Engine.now eng in
+      let reply = Xreplication.Client.submit_until_success client req in
+      submissions_rev :=
+        { req; reply; latency = Xsim.Engine.now eng - t0 } :: !submissions_rev;
+      reply
+    in
+    let lane c name =
+      let cl = Xreplication.Service.client svc c in
+      ( Xreplication.Client.proc cl,
+        name,
+        fun () -> workload srv cl (submit_on cl) )
+    in
+    (* Closed loop: [clients] client processes, each driving [inflight]
+       concurrent lanes of the workload. *)
+    let lanes =
+      if workers = 1 then [ lane 0 "workload" ]
+      else
+        List.concat
+          (List.init n_clients (fun c ->
+               List.init n_lanes (fun k ->
+                   lane c (Printf.sprintf "workload%d.%d" c k))))
+    in
+    let check history exp =
+      (* Concurrent lanes have no per-client sequential order to check. *)
+      Checker.check ~kinds:(Xsm.Environment.kind_of env)
+        ~logical_of:Xsm.Request.logical_of_env_iv
+        ~round_of:Xsm.Request.round_of_env_iv ~engine:`Hybrid
+        ~check_order:(workers = 1) ?cache ~expected:exp history
+    in
+    ( (),
+      {
+        lanes;
+        kill_replica = Xreplication.Service.kill_replica svc;
+        kill_client = (fun () -> Xreplication.Service.kill_client svc 0);
+        groups = [ svc ];
+        totals = (fun () -> Xreplication.Service.totals svc);
+        issued = (fun () -> List.rev !issued_rev);
+        submissions = (fun () -> List.rev !submissions_rev);
+        crashed_last =
+          (fun () ->
+            match !issued_rev with last :: _ -> Some last | [] -> None);
+        judge = (fun history exp -> (check history exp, []));
+      } )
+  in
+  let result, srv, () = drive ~spec ?prepare ~aborted ~setup deploy in
   (result, srv)
 
 (* ------------------------------------------------------------------ *)
@@ -299,235 +365,73 @@ let run ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup ~workload () =
 
 let run_sharded ~spec ?prepare ?(aborted = fun () -> false) ?cache ~setup
     ~workload () =
-  let n_sessions = max 1 spec.clients in
-  let n_lanes = max 1 spec.inflight in
-  let spec =
-    if n_sessions <= spec.service_config.Xreplication.Service.n_clients then
-      spec
-    else
-      {
-        spec with
-        service_config =
-          {
-            spec.service_config with
-            Xreplication.Service.n_clients = n_sessions;
-          };
-      }
-  in
-  let n_shards = max 1 spec.service_config.Xreplication.Service.shards in
-  let eng = Xsim.Engine.create ~seed:spec.seed ~trace_enabled:false () in
-  let env = Xsm.Environment.create eng ~config:spec.env_config () in
-  (match prepare with Some f -> f eng env | None -> ());
-  let srv = setup env in
-  let d = Xshard.Deployment.create eng env spec.service_config in
-  let done_iv = Xsim.Ivar.create () in
-  let sessions =
-    Array.init n_shards (fun shard ->
-        Array.init n_sessions (fun client ->
-            Xshard.Deployment.session d ~shard ~client))
-  in
-  let remaining = ref (n_shards * n_sessions * n_lanes) in
-  Array.iteri
-    (fun shard row ->
-      Array.iteri
-        (fun c sess ->
-          for k = 0 to n_lanes - 1 do
-            Xsim.Engine.spawn eng
-              ~proc:(Xshard.Deployment.session_proc sess)
-              ~name:(Printf.sprintf "workload.s%d.%d.%d" shard c k)
-              (fun () ->
-                workload srv d sess;
-                decr remaining;
-                if !remaining = 0 then Xsim.Ivar.fill done_iv ())
-          done)
-        row)
-    sessions;
-  (* Crash schedule: [idx] is the flat index shard * n_replicas + r. *)
-  List.iter
-    (fun (at, idx) ->
-      Xsim.Engine.schedule eng ~delay:at (fun () ->
-          Xshard.Deployment.kill_replica d idx))
-    spec.crashes;
-  (match spec.client_crash_at with
-  | Some at ->
-      Xsim.Engine.schedule eng ~delay:at (fun () ->
-          Xshard.Deployment.kill_session d ~shard:0 ~client:0)
-  | None -> ());
-  (match spec.noise with
-  | Some (probability, duration, until) ->
-      for s = 0 to n_shards - 1 do
-        match Xreplication.Service.oracle (Xshard.Deployment.group d s) with
-        | Some o -> Xdetect.Oracle.enable_noise o ~probability ~duration ~until ()
-        | None -> ()
-      done
-  | None -> ());
-  let work_end = ref 0 in
-  Xsim.Ivar.watch done_iv (fun () ->
-      work_end := Xsim.Engine.now eng;
-      Xsim.Engine.request_stop eng;
-      true);
-  Xsim.Engine.run ~limit:spec.time_limit eng;
-  let deadline =
-    min spec.time_limit (Xsim.Engine.now eng + spec.quiesce_grace)
-  in
-  let rec quiesce () =
-    let next = min deadline (Xsim.Engine.now eng + 500) in
-    if (not (aborted ())) && Xsim.Engine.now eng < next then begin
-      Xsim.Engine.run ~limit:next eng;
-      if Xsm.Environment.in_flight env > 0 && Xsim.Engine.now eng < deadline
-      then quiesce ()
-      else if (not (aborted ())) && Xsim.Engine.now eng < deadline then begin
-        Xsim.Engine.run ~limit:(min deadline (Xsim.Engine.now eng + 500)) eng;
-        if Xsm.Environment.in_flight env > 0 && Xsim.Engine.now eng < deadline
-        then quiesce ()
-      end
-    end
-  in
-  quiesce ();
-  let completed = Xsim.Ivar.is_full done_iv in
-  let issued = Xshard.Deployment.issued d in
-  let submissions =
-    List.map
-      (fun (s : Xshard.Deployment.submission) ->
-        {
-          req = s.Xshard.Deployment.req;
-          reply = s.Xshard.Deployment.reply;
-          latency = s.Xshard.Deployment.latency;
-        })
-      (Xshard.Deployment.submissions d)
-  in
-  let history = Xsm.Environment.history env in
-  let kinds = Xsm.Environment.kind_of env in
-  let expected = List.map (Xsm.Environment.checker_expected env) issued in
-  let compose exp =
-    (* Concurrent per-shard sessions induce no global request order. *)
-    Checker.compose ~kinds ~logical_of:Xsm.Request.logical_of_env_iv
-      ~round_of:Xsm.Request.round_of_env_iv ~engine:`Hybrid ~check_order:false
-      ?cache
-      ~shard_of:(Xshard.Deployment.shard_of_expected d)
-      ~expected:exp history
-  in
-  let composed =
-    let full = compose expected in
-    if full.Checker.combined.Checker.ok || completed then full
-    else
-      (* The crashed session's last issued request may legitimately have
-         no trace (at-most-once): accept the history without it. *)
-      match
-        List.rev (Xshard.Deployment.session_issued sessions.(0).(0))
-      with
-      | last_req :: _ ->
-          let last = Xsm.Environment.checker_expected env last_req in
-          let without_last =
-            compose
-              (List.filter
-                 (fun (e : Checker.expected) ->
-                   not
-                     (e.Checker.action = last.Checker.action
-                     && Value.equal e.Checker.logical last.Checker.logical))
-                 expected)
-          in
-          let last_untouched =
-            List.for_all
-              (fun (g : Checker.group_result) ->
-                not
-                  (g.expected.Checker.action = last.Checker.action
-                  && Value.equal g.expected.Checker.logical
-                       last.Checker.logical)
-                || g.events = 0)
-              full.Checker.combined.Checker.groups
-          in
-          if without_last.Checker.combined.Checker.ok && last_untouched then
-            without_last
-          else full
-      | [] -> full
-  in
-  let report = composed.Checker.combined in
-  let r4_violations =
-    List.filter_map
-      (fun s ->
-        let possible = Xsm.Environment.possible_replies env s.req in
-        if List.exists (Value.equal s.reply) possible then None
-        else
-          Some
-            (Printf.sprintf "reply %s to %s not in PossibleReply {%s}"
-               (Value.to_string s.reply) (Xsm.Request.key s.req)
-               (String.concat ", " (List.map Value.to_string possible))))
-      submissions
-  in
-  let reply_mismatches =
-    List.filter_map
-      (fun s ->
-        let exp = Xsm.Environment.checker_expected env s.req in
-        let settled =
-          List.find_map
-            (fun (g : Checker.group_result) ->
-              if
-                g.expected.Checker.action = exp.Checker.action
-                && Value.equal g.expected.Checker.logical exp.Checker.logical
-              then g.output
-              else None)
-            report.Checker.groups
-        in
-        match settled with
-        | Some v when not (Value.equal s.reply v) ->
-            Some
-              (Printf.sprintf
-                 "client accepted %s for %s but its effect settled on %s"
-                 (Value.to_string s.reply) (Xsm.Request.key s.req)
-                 (Value.to_string v))
-        | _ -> None)
-      submissions
-  in
-  let false_suspicions =
-    let per_group s =
-      let g = Xshard.Deployment.group d s in
-      match
-        (Xreplication.Service.oracle g, Xreplication.Service.heartbeat g)
-      with
-      | Some o, _ -> Xdetect.Oracle.false_suspicions o
-      | None, Some hb -> Xdetect.Heartbeat.false_suspicions hb
-      | None, None -> 0
+  let deploy spec eng env srv =
+    let n_sessions = max 1 spec.clients in
+    let n_lanes = max 1 spec.inflight in
+    let n_shards = max 1 spec.service_config.Xreplication.Service.shards in
+    let d = Xshard.Deployment.create eng env spec.service_config in
+    let sessions =
+      Array.init n_shards (fun shard ->
+          Array.init n_sessions (fun client ->
+              Xshard.Deployment.session d ~shard ~client))
     in
-    let acc = ref 0 in
-    for s = 0 to n_shards - 1 do
-      acc := !acc + per_group s
-    done;
-    !acc
+    let lanes =
+      List.concat_map
+        (fun shard ->
+          List.concat_map
+            (fun c ->
+              let sess = sessions.(shard).(c) in
+              List.init n_lanes (fun k ->
+                  ( Xshard.Deployment.session_proc sess,
+                    Printf.sprintf "workload.s%d.%d.%d" shard c k,
+                    fun () -> workload srv d sess )))
+            (List.init n_sessions Fun.id))
+        (List.init n_shards Fun.id)
+    in
+    let compose history exp =
+      (* Concurrent per-shard sessions induce no global request order. *)
+      let c =
+        Checker.compose ~kinds:(Xsm.Environment.kind_of env)
+          ~logical_of:Xsm.Request.logical_of_env_iv
+          ~round_of:Xsm.Request.round_of_env_iv ~engine:`Hybrid
+          ~check_order:false ?cache
+          ~shard_of:(Xshard.Deployment.shard_of_expected d)
+          ~expected:exp history
+      in
+      (c.Checker.combined, c.Checker.per_shard)
+    in
+    ( d,
+      {
+        lanes;
+        (* Crash schedule: [idx] is the flat index shard * n_replicas + r. *)
+        kill_replica = Xshard.Deployment.kill_replica d;
+        kill_client =
+          (fun () -> Xshard.Deployment.kill_session d ~shard:0 ~client:0);
+        groups = List.init n_shards (Xshard.Deployment.group d);
+        totals =
+          (fun () -> (Xshard.Deployment.totals d).Xshard.Deployment.service);
+        issued = (fun () -> Xshard.Deployment.issued d);
+        submissions =
+          (fun () ->
+            List.map
+              (fun (s : Xshard.Deployment.submission) ->
+                {
+                  req = s.Xshard.Deployment.req;
+                  reply = s.Xshard.Deployment.reply;
+                  latency = s.Xshard.Deployment.latency;
+                })
+              (Xshard.Deployment.submissions d));
+        crashed_last =
+          (fun () ->
+            match
+              List.rev (Xshard.Deployment.session_issued sessions.(0).(0))
+            with
+            | last :: _ -> Some last
+            | [] -> None);
+        judge = compose;
+      } )
   in
-  let totals = (Xshard.Deployment.totals d).Xshard.Deployment.service in
-  if Xobs.enabled () then
-    Xobs.Gauge.set
-      (Xobs.gauge "coord.msgs_per_request")
-      (totals.Xreplication.Service.coord_msgs
-       * 1000
-       / max 1 totals.Xreplication.Service.replies_sent);
-  let result =
-    {
-      completed;
-      end_time = Xsim.Engine.now eng;
-      work_end_time = (if completed then !work_end else Xsim.Engine.now eng);
-      submissions;
-      report;
-      r4_ok = r4_violations = [];
-      r4_violations;
-      reply_mismatches;
-      env_violations = Xsm.Environment.violations env;
-      duplicate_effects = Xsm.Environment.duplicate_effects env;
-      engine_errors =
-        List.map
-          (fun (t, f, e) -> (t, f, Printexc.to_string e))
-          (Xsim.Engine.errors eng);
-      totals;
-      history_length = History.length history;
-      false_suspicions;
-      rounds_per_request =
-        Stats.ratio totals.Xreplication.Service.rounds_owned
-          (max 1 (List.length issued));
-      shard_reports = composed.Checker.per_shard;
-    }
-  in
-  (result, srv, d)
+  drive ~spec ?prepare ~aborted ~setup deploy
 
 let timed_pp ppf r =
   Format.fprintf ppf

@@ -651,18 +651,22 @@ let test_compare_regression_direction () =
 let test_compare_msgs_per_request_direction () =
   (* Message-economy metrics are lower-better: a rising msgs/request (or
      lease miss/expiry count) is a regression, a falling one an
-     improvement — not unjudged noise. *)
+     improvement — not unjudged noise.  Names match on whole tokens: a
+     [per_s] rate is higher-better although it ends in [_s], and the
+     "ok" inside "lookups" judges nothing. *)
   List.iter
-    (fun leaf ->
-      checkb (leaf ^ " is lower-better") true
-        (Bench_compare.metric_direction ("e16_lease.rows[0]." ^ leaf)
-        = `Lower_better))
+    (fun (leaf, dir) ->
+      checkb (leaf ^ " direction") true
+        (Bench_compare.metric_direction ("e16_lease.rows[0]." ^ leaf) = dir))
     [
-      "msgs_per_request";
-      "messages_per_request";
-      "msgs_per_req";
-      "lease_misses";
-      "lease_expiries";
+      ("msgs_per_request", `Lower_better);
+      ("messages_per_request", `Lower_better);
+      ("msgs_per_req", `Lower_better);
+      ("lease_misses", `Lower_better);
+      ("lease_expiries", `Lower_better);
+      ("flat_schedules_per_s", `Higher_better);
+      ("structural_schedules_per_s", `Higher_better);
+      ("router_lookups_per_run", `Unjudged);
     ];
   let summary, out =
     diff_to_string {|{"msgs_per_request":2.0}|} {|{"msgs_per_request":4.0}|}

@@ -72,11 +72,12 @@ let test_partition_keys () =
 (* Sharded runs *)
 
 let sharded_spec ?(shards = 4) ?(seed = 42) ?(crashes = [])
-    ?(blocked = []) () =
+    ?client_crash_at ?(blocked = []) () =
   {
     Runner.default_spec with
     seed;
     crashes;
+    client_crash_at;
     clients = 2;
     inflight = 2;
     service_config =
@@ -135,6 +136,46 @@ let test_router_partition_heals () =
   checkb "x-able despite router partition" true (Runner.ok r);
   checkb "router actually stalled" true
     ((Deployment.totals d).Deployment.router.Router.blocked_waits > 0)
+
+let test_client_crash_at_most_once () =
+  (* Crash shard 0's session 0 mid-run: its lanes never finish, yet the
+     composed verdict holds — every request that started processing
+     completes exactly once, and the session's last request may be
+     missing entirely (at-most-once).  In the lossy one-lane run the
+     crashed session's last request is lost with it and leaves no event,
+     so the verdict rests on the runner's at-most-once fallback. *)
+  let lossy =
+    let spec = sharded_spec ~seed:1 ~client_crash_at:100 () in
+    {
+      spec with
+      Runner.clients = 1;
+      inflight = 1;
+      service_config =
+        {
+          spec.Runner.service_config with
+          Service.faults =
+            Xnet.Fault.make ~default:(Xnet.Fault.link ~drop:0.3 ()) ();
+          channel = Service.Arq Xnet.Reliable.default_arq;
+        };
+    }
+  in
+  List.iter
+    (fun (what, spec) ->
+      let r, _, _ = run_mix spec in
+      checkb (what ^ ": workload interrupted") false r.Runner.completed;
+      checkb
+        (Printf.sprintf "%s: R3 holds: %s" what
+           (String.concat "; " r.Runner.report.Checker.violations))
+        true r.Runner.report.Checker.ok;
+      checkb (what ^ ": R4 holds") true r.Runner.r4_ok;
+      Alcotest.(check (list string))
+        (what ^ ": only failure is the interrupted workload")
+        [ "workload did not complete" ]
+        (Runner.failures r))
+    [
+      ("crash at 300", sharded_spec ~client_crash_at:300 ());
+      ("lossy one-lane run, crash at 100", lossy);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Section-4 composition property (satellite): [Checker.compose] on a
@@ -288,6 +329,8 @@ let () =
             test_owner_crash_mid_run;
           Alcotest.test_case "router partition heals" `Quick
             test_router_partition_heals;
+          Alcotest.test_case "client crash: at-most-once" `Quick
+            test_client_crash_at_most_once;
         ] );
       ("compose", [ QCheck_alcotest.to_alcotest prop_compose_agrees ]);
     ]
