@@ -116,6 +116,8 @@ type 'v member_state = {
   index : int;
   insts : (string, 'v acceptor) Hashtbl.t;
   campaigns : (string * int, 'v campaign) Hashtbl.t;
+  learned : Decision_log.t;
+      (** instances in the order this member learned their decisions *)
   mutable attempt_hint : int;
 }
 
@@ -155,6 +157,7 @@ let record_decision g st inst value =
   let a = acceptor st inst in
   if a.decided = None then begin
     a.decided <- Some value;
+    Decision_log.append st.learned inst;
     if (not (Hashtbl.mem g.decided_insts inst)) && Xobs.enabled () then
       Xobs.Counter.incr (Xobs.counter "consensus.decisions");
     if not (Hashtbl.mem g.decided_insts inst) then
@@ -251,6 +254,7 @@ let create_group eng ~latency ~members ?(phase_timeout = 400)
           index;
           insts = Hashtbl.create 32;
           campaigns = Hashtbl.create 16;
+          learned = Decision_log.create ();
           attempt_hint = 0;
         }
       in
@@ -412,13 +416,10 @@ let decided_at g ~member ~inst =
   | Some st -> (acceptor st inst).decided
   | None -> None
 
-let instances_known g ~member =
+let decided_since g ~member ~cursor =
   match Hashtbl.find_opt g.states member with
-  | Some st ->
-      Hashtbl.fold
-        (fun inst a acc -> if a.decided <> None then inst :: acc else acc)
-        st.insts []
-  | None -> []
+  | Some st -> Decision_log.since st.learned ~cursor
+  | None -> ([], cursor)
 
 type stats = {
   proposals : int;

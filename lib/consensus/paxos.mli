@@ -85,9 +85,12 @@ val fast_decide : 'v group -> member:Xnet.Address.t -> inst:string -> 'v -> 'v
 val decided_at :
   'v group -> member:Xnet.Address.t -> inst:string -> 'v option
 
-val instances_known :
-  'v group -> member:Xnet.Address.t -> string list
-(** Instance ids with a locally-known decision at this member. *)
+val decided_since :
+  'v group -> member:Xnet.Address.t -> cursor:int -> string list * int
+(** Instance ids this member learned a decision for since [cursor], in
+    learning order, with the next cursor (see {!Decision_log.since}).
+    Threading the cursor through successive calls yields every locally
+    decided instance exactly once; a non-member gets [([], cursor)]. *)
 
 type stats = {
   proposals : int;  (** propose() calls *)

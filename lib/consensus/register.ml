@@ -3,12 +3,21 @@ type 'v t = {
   rname : string;
   latency : int;
   codec : 'v Xnet.Codec.t option;
+  on_decide : unit -> unit;
   mutable decided : 'v option;
   mutable proposals : int;
 }
 
-let create eng ?(latency = 20) ?codec ~name () =
-  { eng; rname = name; latency; codec; decided = None; proposals = 0 }
+let create eng ?(latency = 20) ?codec ?(on_decide = ignore) ~name () =
+  {
+    eng;
+    rname = name;
+    latency;
+    codec;
+    on_decide;
+    decided = None;
+    proposals = 0;
+  }
 
 let name t = t.rname
 
@@ -42,6 +51,7 @@ let propose t ?(weight = 1) v =
           | Some c -> Xnet.Codec.roundtrip c v
         in
         t.decided <- Some v;
+        t.on_decide ();
         if obs_on then Xobs.Counter.incr (Xobs.counter "consensus.decisions");
         v
   in
@@ -60,6 +70,7 @@ let decide_if_unset t v =
   | Some d -> d
   | None ->
       t.decided <- Some v;
+      t.on_decide ();
       if Xobs.enabled () then
         Xobs.Counter.incr (Xobs.counter "consensus.decisions");
       v

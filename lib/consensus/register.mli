@@ -11,12 +11,14 @@
 type 'v t
 
 val create :
-  Xsim.Engine.t -> ?latency:int -> ?codec:'v Xnet.Codec.t -> name:string ->
-  unit -> 'v t
+  Xsim.Engine.t -> ?latency:int -> ?codec:'v Xnet.Codec.t ->
+  ?on_decide:(unit -> unit) -> name:string -> unit -> 'v t
 (** [latency] is the one-way trip time to the register (default 20).
     [codec] gives the register wire fidelity in flat mode: the winning
     proposal is round-tripped through the codec at the decision point,
-    so the decided value is what the frame carried. *)
+    so the decided value is what the frame carried.  [on_decide] runs
+    once, at the decision point (in {!propose} or {!decide_if_unset}),
+    e.g. to append the register to a {!Decision_log}. *)
 
 val name : 'v t -> string
 

@@ -63,11 +63,10 @@ type 'v group = {
   forward_timeout : int;
   (* The replicated log, as sequenced by the leader: the group's shared
      authority.  Commits relay entries to the members; recovery-style
-     reads ([decided_at], [instances_known]) may consult the log
+     reads ([decided_at], [decided_since]) may consult the log
      directly, modelling VR state transfer. *)
   log : (string, 'v) Hashtbl.t;
-  mutable log_order : string list;  (* most recent first *)
-  mutable seq : int;
+  log_order : Decision_log.t;  (* its length is the latest [seq] *)
   mutable view : int;
   mutable proposals : int;
   mutable view_changes : int;
@@ -99,9 +98,8 @@ let sequence g inst value =
   match Hashtbl.find_opt g.log inst with
   | Some v -> (v, false)
   | None ->
-      g.seq <- g.seq + 1;
       Hashtbl.replace g.log inst value;
-      g.log_order <- inst :: g.log_order;
+      Decision_log.append g.log_order inst;
       if Xobs.enabled () then
         Xobs.Counter.incr (Xobs.counter "consensus.decisions");
       (value, true)
@@ -114,7 +112,7 @@ let handle_msg g st (envelope : 'v msg Xnet.Transport.envelope) =
       if Addr.equal (leader g) st.addr then begin
         let decided, fresh = sequence g inst value in
         if fresh then begin
-          let seq = g.seq in
+          let seq = Decision_log.length g.log_order in
           Xnet.Transport.broadcast g.transport ~src:st.addr ~include_self:true
             (Commit { seq; inst; value = decided })
         end
@@ -137,8 +135,7 @@ let create_group eng ~latency ~members ?(forward_timeout = 600) ?codec () =
       member_list = List.map fst members;
       forward_timeout;
       log = Hashtbl.create 64;
-      log_order = [];
-      seq = 0;
+      log_order = Decision_log.create ();
       view = 0;
       proposals = 0;
       view_changes = 0;
@@ -241,9 +238,9 @@ let decided_at g ~member ~inst =
       | Some v -> Some v
       | None -> Hashtbl.find_opt g.log inst)
 
-let instances_known g ~member =
+let decided_since g ~member ~cursor =
   ignore member;
-  g.log_order
+  Decision_log.since g.log_order ~cursor
 
 (* Leased fast path: the holder decides unilaterally at the log — valid
    because the lease (checked atomically by the caller at this instant)

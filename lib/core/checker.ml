@@ -67,25 +67,28 @@ let create_cache () : cache = Hashtbl.create 64
 
 let check ~kinds ~logical_of ?(round_of = fun _ -> None)
     ?(engine = (`Hybrid : engine)) ?(check_order = true) ?cache ~expected h =
-  let indexed = List.mapi (fun i e -> (i, e)) h in
-  (* Partition events into logical groups. *)
+  (* Partition events into logical groups, noting each group's first
+     start (its history index) in the same pass for the order check. *)
   let groups_tbl : (string, (int * Event.t) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let group_id : (string, Action.name * Value.t) Hashtbl.t =
     Hashtbl.create 16
   in
-  List.iter
-    (fun (i, e) ->
+  let first_starts : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun i e ->
       let base = Action.base (Event.action e) in
       let logical = logical_of base (Event.input e) in
       let key = group_key base logical in
       if not (Hashtbl.mem group_id key) then
         Hashtbl.replace group_id key (base, logical);
+      if Event.is_start e && not (Hashtbl.mem first_starts key) then
+        Hashtbl.replace first_starts key i;
       (match Hashtbl.find_opt groups_tbl key with
       | Some cell -> cell := (i, e) :: !cell
       | None -> Hashtbl.replace groups_tbl key (ref [ (i, e) ])))
-    indexed;
+    h;
   let take_group key =
     match Hashtbl.find_opt groups_tbl key with
     | Some cell ->
@@ -205,33 +208,23 @@ let check ~kinds ~logical_of ?(round_of = fun _ -> None)
   (* Order discipline: request i's first completion precedes request i+1's
      first start. *)
   let first_start exp =
-    List.find_map
-      (fun (i, e) ->
-        let base = Action.base (Event.action e) in
-        if
-          Action.equal_name base exp.action
-          && Value.equal (logical_of base (Event.input e)) exp.logical
-          && Event.is_start e
-        then Some i
-        else None)
-      indexed
+    Hashtbl.find_opt first_starts (group_key exp.action exp.logical)
   in
-  let rec order_violations = function
+  let rec order_violations acc = function
     | g1 :: (g2 :: _ as rest) ->
-        let v =
+        let acc =
           match (g1.first_completion, first_start g2.expected) with
           | Some c1, Some s2 when c1 >= s2 ->
-              [
-                Printf.sprintf
-                  "request %s settled at %d, after request %s started at %d"
-                  g1.expected.action c1 g2.expected.action s2;
-              ]
-          | _ -> []
+              Printf.sprintf
+                "request %s settled at %d, after request %s started at %d"
+                g1.expected.action c1 g2.expected.action s2
+              :: acc
+          | _ -> acc
         in
-        v @ order_violations rest
-    | _ -> []
+        order_violations acc rest
+    | _ -> List.rev acc
   in
-  let order_viols = if check_order then order_violations groups else [] in
+  let order_viols = if check_order then order_violations [] groups else [] in
   let violations =
     List.filter_map
       (fun (g : group_result) ->

@@ -29,7 +29,11 @@ module type SUBSTRATE = sig
   val peek : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
   (** Instant local view: no latency, no messages. *)
 
-  val instances_known : t -> member:Xnet.Address.t -> string list
+  val decided_since :
+    t -> member:Xnet.Address.t -> cursor:int -> string list * int
+  (** Instances decided (as known at [member]) since [cursor], with the
+      next cursor: successive calls threading the cursor see every
+      decided instance exactly once. *)
 
   val fast_decide :
     t -> member:Xnet.Address.t -> inst:string -> Pval.t -> Pval.t
@@ -54,6 +58,8 @@ module Register_sub = struct
     eng : Xsim.Engine.t;
     latency : int;
     table : (string, Pval.t Xconsensus.Register.t) Hashtbl.t;
+    decisions : Xconsensus.Decision_log.t;
+        (** every instance, appended at its decision point *)
     codec : Pval.t Xnet.Codec.t option;
     mutable proposals : int;
     mutable full_proposes : int;
@@ -63,7 +69,8 @@ module Register_sub = struct
   let name = "register"
 
   let create eng ~latency ~codec =
-    { eng; latency; table = Hashtbl.create 64; codec; proposals = 0;
+    { eng; latency; table = Hashtbl.create 64;
+      decisions = Xconsensus.Decision_log.create (); codec; proposals = 0;
       full_proposes = 0 }
 
   let obj t inst =
@@ -72,6 +79,8 @@ module Register_sub = struct
     | None ->
         let obj =
           Xconsensus.Register.create t.eng ~latency:t.latency ?codec:t.codec
+            ~on_decide:(fun () ->
+              Xconsensus.Decision_log.append t.decisions inst)
             ~name:inst ()
         in
         Hashtbl.replace t.table inst obj;
@@ -89,13 +98,8 @@ module Register_sub = struct
     | Some obj -> Xconsensus.Register.peek obj
     | None -> None
 
-  let instances_known t ~member:_ =
-    Hashtbl.fold
-      (fun inst obj acc ->
-        match Xconsensus.Register.peek obj with
-        | Some _ -> inst :: acc
-        | None -> acc)
-      t.table []
+  let decided_since t ~member:_ ~cursor =
+    Xconsensus.Decision_log.since t.decisions ~cursor
 
   let fast_decide t ~member:_ ~inst v =
     t.proposals <- t.proposals + 1;
@@ -125,7 +129,8 @@ module Paxos_sub = struct
     Xconsensus.Paxos.read (Xconsensus.Paxos.handle g ~member ~inst)
 
   let peek g ~member ~inst = Xconsensus.Paxos.decided_at g ~member ~inst
-  let instances_known g ~member = Xconsensus.Paxos.instances_known g ~member
+  let decided_since g ~member ~cursor =
+    Xconsensus.Paxos.decided_since g ~member ~cursor
   let fast_decide g ~member ~inst v = Xconsensus.Paxos.fast_decide g ~member ~inst v
   let total_proposals g = (Xconsensus.Paxos.stats g).proposals
   let messages_sent g = (Xconsensus.Paxos.stats g).messages_sent
@@ -146,7 +151,8 @@ module Seqlog_sub = struct
 
   let read g ~member ~inst = Xconsensus.Seqlog.decided_at g ~member ~inst
   let peek g ~member ~inst = Xconsensus.Seqlog.decided_at g ~member ~inst
-  let instances_known g ~member = Xconsensus.Seqlog.instances_known g ~member
+  let decided_since g ~member ~cursor =
+    Xconsensus.Seqlog.decided_since g ~member ~cursor
 
   let fast_decide g ~member ~inst v =
     Xconsensus.Seqlog.fast_decide g ~member ~inst v
@@ -280,30 +286,25 @@ let peek_raw t ~member ~inst =
   let (Sub ((module S), s)) = t.sub in
   S.peek s ~member ~inst
 
-(* Decided batch-log slots known at this member, as (slot, decision)
-   pairs.  Cleaners use this to discover batches whose owner crashed. *)
-let known_batch_slots t ~member =
+(* Decided batch-log slots known at this member since [cursor], as
+   (slot, decision) pairs, with the next cursor.  Cleaners use this to
+   discover batches whose owner crashed. *)
+let known_batch_slots t ~member ~cursor =
   let (Sub ((module S), s)) = t.sub in
-  List.fold_left
-    (fun acc inst ->
-      match Pval.parse_batch_inst inst with
-      | Some slot -> (
-          match S.peek s ~member ~inst with
-          | Some v -> (slot, Pval.strip v) :: acc
-          | None -> acc)
-      | None -> acc)
-    []
-    (S.instances_known s ~member)
+  let insts, cursor = S.decided_since s ~member ~cursor in
+  ( List.filter_map
+      (fun inst ->
+        match Pval.parse_batch_inst inst with
+        | Some slot ->
+            Option.map (fun v -> (slot, Pval.strip v)) (S.peek s ~member ~inst)
+        | None -> None)
+      insts,
+    cursor )
 
-let known_owner_instances t ~member =
+let known_owner_instances t ~member ~cursor =
   let (Sub ((module S), s)) = t.sub in
-  List.fold_left
-    (fun acc inst ->
-      match Pval.parse_owner_inst inst with
-      | Some pair -> pair :: acc
-      | None -> acc)
-    []
-    (S.instances_known s ~member)
+  let insts, cursor = S.decided_since s ~member ~cursor in
+  (List.filter_map Pval.parse_owner_inst insts, cursor)
 
 let total_proposals t =
   let (Sub ((module S), s)) = t.sub in

@@ -83,10 +83,14 @@ val read : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** The paper's [read()]: decided value or ⊥.  For [`Paxos]/[`Seqlog]
     this is the member's local knowledge. *)
 
-val known_owner_instances : t -> member:Xnet.Address.t -> (int * int) list
-(** Owner-agreement instances with a decision known at this member, as
-    (rid, round) pairs.  Cleaners use this to discover requests and their
-    latest rounds. *)
+val known_owner_instances :
+  t -> member:Xnet.Address.t -> cursor:int -> (int * int) list * int
+(** Owner-agreement instances whose decision became known at this member
+    since [cursor], as (rid, round) pairs, with the cursor for the next
+    call.  Threading the cursor (starting from [0]) yields every decided
+    owner instance exactly once, at a cost proportional to what was
+    decided since the previous call.  Cleaners use this to discover
+    requests and their latest rounds. *)
 
 val peek : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** Instant local view of a decision: no latency, no messages.  Globally
@@ -97,10 +101,13 @@ val peek_raw : t -> member:Xnet.Address.t -> inst:string -> Pval.t option
 (** Like {!peek} but without stripping {!Pval.Leased} — exposes the
     fence epoch a fast-path decision was taken under. *)
 
-val known_batch_slots : t -> member:Xnet.Address.t -> (int * Pval.t) list
-(** Batch-log slots with a decision known at this member, as
-    (slot, decision) pairs (unsorted).  Cleaners use this to discover
-    batches whose owner is suspected. *)
+val known_batch_slots :
+  t -> member:Xnet.Address.t -> cursor:int -> (int * Pval.t) list * int
+(** Batch-log slots whose decision became known at this member since
+    [cursor], as (slot, decision) pairs (in decision order, not slot
+    order), with the cursor for the next call — the same cursor
+    discipline as {!known_owner_instances}, on a cursor of its own.
+    Cleaners use this to discover batches whose owner is suspected. *)
 
 val total_proposals : t -> int
 

@@ -49,6 +49,8 @@ type obs = {
   o_dup_replies : Xobs.Counter.t;   (* replica.duplicate_replies *)
   o_replies : Xobs.Counter.t;       (* replica.replies *)
   o_round : Xobs.Span.t;            (* replica.round *)
+  o_cleaner_passes : Xobs.Counter.t; (* replica.cleaner_passes *)
+  o_cleaner_visits : Xobs.Counter.t; (* replica.cleaner_visits *)
   o_batch_commits : Xobs.Counter.t;      (* repl.batch_commits *)
   o_batch_aborts : Xobs.Counter.t;       (* repl.batch_aborts *)
   o_batch_skips : Xobs.Counter.t;        (* repl.batch_skips *)
@@ -76,6 +78,13 @@ type t = {
   cfg : config;
   m : metrics;
   requests : (int, request_state) Hashtbl.t;
+  live : (int, request_state) Hashtbl.t;
+      (** the cleaner's worklist: the states of [requests] that are not
+          yet both settled and client-known (see [cleaner_pass]) *)
+  mutable owner_cursor : int;
+      (** [Coord.known_owner_instances] cursor of [discover_requests] *)
+  mutable slot_cursor : int;
+      (** [Coord.known_batch_slots] cursor of [clean_batches] *)
   owned_rounds : (int * int, unit) Hashtbl.t;
       (** (rid, round) pairs this replica is executing, to ignore duplicate
           deliveries of the same request *)
@@ -108,6 +117,9 @@ type t = {
 let obs_incr t f =
   match t.obs with Some o -> Xobs.Counter.incr (f o) | None -> ()
 
+let obs_add t f n =
+  match t.obs with Some o -> Xobs.Counter.add (f o) n | None -> ()
+
 (* Count one mode switch per transition between primary-backup-like and
    active-like behaviour (Section 5's run-time morphing, made visible). *)
 let note_mode t active =
@@ -137,6 +149,7 @@ let state_of t rid =
   | None ->
       let rs = { rid; client = None; max_round = 0; settled = None } in
       Hashtbl.replace t.requests rid rs;
+      Hashtbl.replace t.live rid rs;
       rs
 
 let max_round_of t ~rid =
@@ -689,6 +702,12 @@ let process_batch t ~bid members =
    slots whose owner is suspected before the outcome is settled, and
    finish the work of deciders that crashed after the outcome. *)
 let clean_batches t =
+  let fresh, cursor =
+    Coord.known_batch_slots t.coord ~member:t.r_addr ~cursor:t.slot_cursor
+  in
+  t.slot_cursor <- cursor;
+  (* [record_slot] is insert-if-absent and a slot's decision never
+     changes, so slots learned by earlier passes need not be re-read. *)
   List.iter
     (fun (n, v) ->
       match v with
@@ -696,78 +715,97 @@ let clean_batches t =
           record_slot t n
             { s_owner = b.owner; s_bid = b.bid; s_members = b.members }
       | _ -> ())
-    (Coord.known_batch_slots t.coord ~member:t.r_addr);
+    fresh;
   integrate_slots t;
+  obs_add t (fun o -> o.o_cleaner_visits) t.scanned_slot;
   for slot = 1 to t.scanned_slot do
     let s = Hashtbl.find t.slots slot in
     (* Only ever act on another replica's slot when its owner is
        suspected: a live owner settles (or aborts) its own slots in
        [process_batch], and repairing behind its back would triple every
        reply.  The owner-crashed-after-deciding case is exactly what the
-       repair arms below cover. *)
-    let orphaned =
+       repair arms below cover.  Every arm is a no-op for a slot that is
+       not orphaned, so the outcome is only looked up for orphans. *)
+    if
       (not (Xnet.Address.equal s.s_owner t.r_addr))
       && Xdetect.Detector.suspects t.detector ~observer:t.r_addr
            ~target:s.s_owner
-    in
-    match slot_outcome_peek t slot with
-    | None ->
-        if
-          orphaned
-          && List.exists
-               (fun ((req : Xsm.Request.t), _) ->
-                 (state_of t req.rid).settled = None)
-               s.s_members
-        then begin
-          t.m.cleanups <- t.m.cleanups + 1;
-          obs_incr t (fun o -> o.o_cleanups);
-          note_mode t true;
-          (match t.lease with
-          | Some l -> Lease.break_suspect l ~suspect:s.s_owner
-          | None -> ());
-          tracef t "cleaning slot %d (suspect %s)" slot
-            (Xnet.Address.to_string s.s_owner);
-          let results =
-            List.map
-              (fun ((req : Xsm.Request.t), _) -> (req.rid, None))
+    then
+      match slot_outcome_peek t slot with
+      | None ->
+          if
+            List.exists
+              (fun ((req : Xsm.Request.t), _) ->
+                (state_of t req.rid).settled = None)
               s.s_members
-          in
-          let decision =
-            Coord.propose t.coord ~member:t.r_addr
-              ~inst:(Pval.batch_outcome_inst ~slot)
-              (Pval.Batch_outcome { outcome = Pval.Abort; results })
-          in
-          match decision with
-          | Pval.Batch_outcome { outcome = Pval.Abort; _ } ->
-              continue_aborted_slot t ~slot s ~takeover:true
-          | Pval.Batch_outcome { outcome = Pval.Commit; results = agreed } ->
-              (* The owner won the race: make sure the clients get their
-                 results (they may never have been sent). *)
-              settle_slot_commit t s agreed
-          | other ->
-              failwith
-                (Format.asprintf "batch outcome decided a foreign value: %a"
-                   Pval.pp other)
-        end
-    | Some (Pval.Batch_outcome { outcome = Pval.Commit; results = agreed }) ->
-        if orphaned then settle_slot_commit t s agreed
-    | Some (Pval.Batch_outcome { outcome = Pval.Abort; _ }) ->
-        if orphaned then continue_aborted_slot t ~slot s ~takeover:true
-    | Some _ -> ()
+          then begin
+            t.m.cleanups <- t.m.cleanups + 1;
+            obs_incr t (fun o -> o.o_cleanups);
+            note_mode t true;
+            (match t.lease with
+            | Some l -> Lease.break_suspect l ~suspect:s.s_owner
+            | None -> ());
+            tracef t "cleaning slot %d (suspect %s)" slot
+              (Xnet.Address.to_string s.s_owner);
+            let results =
+              List.map
+                (fun ((req : Xsm.Request.t), _) -> (req.rid, None))
+                s.s_members
+            in
+            let decision =
+              Coord.propose t.coord ~member:t.r_addr
+                ~inst:(Pval.batch_outcome_inst ~slot)
+                (Pval.Batch_outcome { outcome = Pval.Abort; results })
+            in
+            match decision with
+            | Pval.Batch_outcome { outcome = Pval.Abort; _ } ->
+                continue_aborted_slot t ~slot s ~takeover:true
+            | Pval.Batch_outcome { outcome = Pval.Commit; results = agreed } ->
+                (* The owner won the race: make sure the clients get their
+                   results (they may never have been sent). *)
+                settle_slot_commit t s agreed
+            | other ->
+                failwith
+                  (Format.asprintf "batch outcome decided a foreign value: %a"
+                     Pval.pp other)
+          end
+      | Some (Pval.Batch_outcome { outcome = Pval.Commit; results = agreed }) ->
+          settle_slot_commit t s agreed
+      | Some (Pval.Batch_outcome { outcome = Pval.Abort; _ }) ->
+          continue_aborted_slot t ~slot s ~takeover:true
+      | Some _ -> ()
   done
 
+(* Learn the requests whose owner agreement was decided since the last
+   pass.  Re-reading older decisions would change nothing: [state_of]
+   finds the existing state and [max_round] only grows. *)
 let discover_requests t =
+  let fresh, cursor =
+    Coord.known_owner_instances t.coord ~member:t.r_addr ~cursor:t.owner_cursor
+  in
+  t.owner_cursor <- cursor;
   List.iter
     (fun (rid, round) ->
       let rs = state_of t rid in
       if round > rs.max_round then rs.max_round <- round)
-    (Coord.known_owner_instances t.coord ~member:t.r_addr)
+    fresh
 
+(* One pass of Fig. 6's cleaner over the worklist, in rid order.  A state
+   that is settled and client-known costs a pass nothing (no read, no
+   action, no virtual time), and stays so since both fields only ever go
+   from [None] to [Some]; it is dropped here instead of being re-visited
+   by every later pass. *)
 let cleaner_pass t =
+  obs_incr t (fun o -> o.o_cleaner_passes);
   if t.batcher <> None then clean_batches t;
   discover_requests t;
+  Hashtbl.filter_map_inplace
+    (fun _ rs ->
+      if rs.settled <> None && rs.client <> None then None else Some rs)
+    t.live;
   (* Snapshot: cleaning may create request states. *)
-  let states = Hashtbl.fold (fun _ rs acc -> rs :: acc) t.requests [] in
+  let states = Hashtbl.fold (fun _ rs acc -> rs :: acc) t.live [] in
+  obs_add t (fun o -> o.o_cleaner_visits) (List.length states);
   List.iter
     (fun rs ->
       (* Fill in the client from the round-1 decision if unknown. *)
@@ -809,6 +847,9 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
           replies_sent = 0;
         };
       requests = Hashtbl.create 32;
+      live = Hashtbl.create 32;
+      owner_cursor = 0;
+      slot_cursor = 0;
       owned_rounds = Hashtbl.create 32;
       suspicion_events = Xsim.Mailbox.create ~name:"suspicions" ();
       fiber_counter = 0;
@@ -835,6 +876,8 @@ let create ~eng ~env ~transport ~detector ~coord ~addr:r_addr ~proc:r_proc
                o_dup_replies = Xobs.counter "replica.duplicate_replies";
                o_replies = Xobs.counter "replica.replies";
                o_round = Xobs.span "replica.round";
+               o_cleaner_passes = Xobs.counter "replica.cleaner_passes";
+               o_cleaner_visits = Xobs.counter "replica.cleaner_visits";
                o_batch_commits = Xobs.counter "repl.batch_commits";
                o_batch_aborts = Xobs.counter "repl.batch_aborts";
                o_batch_skips = Xobs.counter "repl.batch_skips";

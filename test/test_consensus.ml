@@ -292,6 +292,143 @@ let prop_paxos_agreement =
       List.for_all (fun v -> v >= 500 && v < 500 + n_proposers) decided
       && List.for_all (fun v -> v = List.hd decided) decided)
 
+(* ------------------------------------------------------------------ *)
+(* Decision-log cursors *)
+
+(* A random script of decisions: at tick [at], member [m] proposes (or,
+   when [fast], unilaterally decides) value [v] for instance "i<k>". *)
+type op = { at : int; m : int; k : int; fast : bool; v : int }
+
+let random_ops rs ~n ~insts =
+  List.init (5 + Random.State.int rs 30) (fun v ->
+      {
+        at = Random.State.int rs 3_000;
+        m = Random.State.int rs n;
+        k = Random.State.int rs insts;
+        fast = Random.State.bool rs;
+        v;
+      })
+
+let inst_name k = Printf.sprintf "i%d" k
+
+(* Each member's reader threads one cursor through [since] calls at
+   random ticks while the script runs, and once more after it.  What the
+   calls returned must be exactly the member's decided set at the end:
+   nothing twice, nothing missed. *)
+let cursor_partition eng rs ~members ~since ~decided_at ~insts =
+  let n = List.length members in
+  let got = Array.make n [] and cursor = Array.make n 0 in
+  let read i =
+    let fresh, c = since (List.nth members i) ~cursor:cursor.(i) in
+    cursor.(i) <- c;
+    got.(i) <- List.rev_append fresh got.(i)
+  in
+  for i = 0 to n - 1 do
+    let pauses = List.init 12 (fun _ -> Random.State.int rs 400) in
+    Engine.spawn eng ~name:(Printf.sprintf "reader%d" i) (fun () ->
+        List.iter
+          (fun d ->
+            Engine.sleep eng d;
+            read i)
+          pauses)
+  done;
+  Engine.run ~limit:2_000_000 eng;
+  List.for_all
+    (fun i ->
+      read i;
+      let member = List.nth members i in
+      let expected =
+        List.filter (fun k -> decided_at member k <> None) (List.init insts Fun.id)
+        |> List.map inst_name
+      in
+      List.sort compare got.(i) = List.sort compare expected)
+    (List.init n Fun.id)
+
+let script_fibers eng members ops run_op =
+  List.iter
+    (fun op ->
+      let m, p = List.nth members op.m in
+      Engine.spawn eng ~proc:p ~name:(Printf.sprintf "op%d" op.v) (fun () ->
+          Engine.sleep eng op.at;
+          run_op m op))
+    ops
+
+let insts = 12
+
+(* Register: the group-wide log is fed by the decide hook (what the
+   replication layer's register substrate does); every member sees it. *)
+let prop_register_cursor =
+  QCheck.Test.make ~name:"register: decided_since cursors partition decisions"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let eng = Engine.create ~seed () in
+      let log = Xconsensus.Decision_log.create () in
+      let regs =
+        Array.init insts (fun k ->
+            Register.create eng ~latency:(5 + Random.State.int rs 20)
+              ~on_decide:(fun () ->
+                Xconsensus.Decision_log.append log (inst_name k))
+              ~name:(inst_name k) ())
+      in
+      let members =
+        List.init 3 (fun i ->
+            let a = Address.make ~role:"rg" ~index:i in
+            (a, Proc.create ~name:(Address.to_string a)))
+      in
+      script_fibers eng members (random_ops rs ~n:3 ~insts)
+        (fun _ op ->
+          if op.fast then ignore (Register.decide_if_unset regs.(op.k) op.v)
+          else ignore (Register.propose regs.(op.k) op.v));
+      cursor_partition eng rs ~members:(List.map fst members) ~insts
+        ~since:(fun _ ~cursor -> Xconsensus.Decision_log.since log ~cursor)
+        ~decided_at:(fun _ k -> Register.peek regs.(k)))
+
+(* Paxos: per-member logs, fed where each member learns a decision, with
+   quorum proposals, lease-style fast decides and a crashed member mixed. *)
+let prop_paxos_cursor =
+  QCheck.Test.make ~name:"paxos: decided_since cursors partition decisions"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let eng, members, g =
+        make_group ~seed:(seed + 1) ~latency:(Xnet.Latency.Uniform (5, 60)) ()
+      in
+      Paxos.set_fast_path g true;
+      if Random.State.bool rs then
+        Engine.schedule eng ~delay:(Random.State.int rs 3_000) (fun () ->
+            Proc.kill (snd (List.nth members (Random.State.int rs 3))));
+      script_fibers eng members (random_ops rs ~n:3 ~insts)
+        (fun m op ->
+          let inst = inst_name op.k in
+          if op.fast then ignore (Paxos.fast_decide g ~member:m ~inst op.v)
+          else ignore (Paxos.propose (Paxos.handle g ~member:m ~inst) op.v));
+      cursor_partition eng rs ~members:(List.map fst members) ~insts
+        ~since:(fun member ~cursor -> Paxos.decided_since g ~member ~cursor)
+        ~decided_at:(fun member k ->
+          Paxos.decided_at g ~member ~inst:(inst_name k)))
+
+(* Seqlog: one log position for the whole group, across fast decides and
+   the view changes forced by killing the sequencer mid-script. *)
+let prop_seqlog_cursor =
+  QCheck.Test.make ~name:"seqlog: decided_since cursors partition decisions"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let eng, members, g =
+        make_seqlog ~seed:(seed + 1) ~forward_timeout:300
+          ~latency:(Xnet.Latency.Uniform (5, 60)) ()
+      in
+      if Random.State.bool rs then
+        Engine.schedule eng ~delay:(Random.State.int rs 3_000) (fun () ->
+            Proc.kill (snd (List.nth members 0)));
+      script_fibers eng members (random_ops rs ~n:3 ~insts)
+        (fun m op ->
+          let inst = inst_name op.k in
+          if op.fast then ignore (Seqlog.fast_decide g ~member:m ~inst op.v)
+          else ignore (Seqlog.propose (Seqlog.handle g ~member:m ~inst) op.v));
+      cursor_partition eng rs ~members:(List.map fst members) ~insts
+        ~since:(fun member ~cursor -> Seqlog.decided_since g ~member ~cursor)
+        ~decided_at:(fun member k ->
+          Seqlog.decided_at g ~member ~inst:(inst_name k)))
+
 let tc name f = Alcotest.test_case name `Quick f
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -325,5 +462,11 @@ let () =
           tc "stats" test_seqlog_stats;
           tc "msg codec roundtrip" test_seqlog_msg_codec_roundtrip;
         ] );
-      ("properties", [ qcheck prop_paxos_agreement ]);
+      ( "properties",
+        [
+          qcheck prop_paxos_agreement;
+          qcheck prop_register_cursor;
+          qcheck prop_paxos_cursor;
+          qcheck prop_seqlog_cursor;
+        ] );
     ]

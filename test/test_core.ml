@@ -1190,6 +1190,146 @@ let test_checker_engines_agree () =
       checkb "engine accepts" true r.Checker.ok)
     [ `Search; `Fast; `Hybrid ]
 
+(* ------------------------------------------------------------------ *)
+(* R3 order index: the checker's one-pass first-start index against the
+   naive definition (scan the whole history for every expected request). *)
+
+let naive_first_start h (exp : Checker.expected) =
+  let rec go i = function
+    | [] -> None
+    | e :: rest ->
+        let base = Action.base (Event.action e) in
+        if
+          Action.equal_name base exp.action
+          && Value.equal (logical_of base (Event.input e)) exp.logical
+          && Event.is_start e
+        then Some i
+        else go (i + 1) rest
+  in
+  go 0 h
+
+let naive_violations h (r : Checker.report) =
+  let rec order = function
+    | (g1 : Checker.group_result) :: (g2 :: _ as rest) -> (
+        match (g1.first_completion, naive_first_start h g2.expected) with
+        | Some c1, Some s2 when c1 >= s2 ->
+            Printf.sprintf
+              "request %s settled at %d, after request %s started at %d"
+              g1.expected.action c1 g2.expected.action s2
+            :: order rest
+        | _ -> order rest)
+    | _ -> []
+  in
+  let order_viols = order r.groups in
+  ( List.filter_map
+      (fun (g : Checker.group_result) ->
+        if g.ok then None
+        else Some (Printf.sprintf "%s: %s" g.expected.action g.detail))
+      r.groups
+    @ List.map
+        (fun (a, v) ->
+          Printf.sprintf "unexpected action group %s on %s" a
+            (Value.to_string v))
+        r.unexpected
+    @ order_viols,
+    order_viols = [] )
+
+(* One request's events: an idempotent [get] (clean, retried, or left
+   incomplete) or an undoable [book] (committed in round 1, or aborted in
+   round 1 and committed in round 2); sometimes nothing at all. *)
+let random_group rs g =
+  let id = Value.int g in
+  let riv r = Value.pair (Value.str "round") (Value.pair (Value.int r) id) in
+  let round r =
+    [ Event.S ("book", riv r); Event.C ("book", riv r, v42);
+      Event.S (cm, riv r); Event.C (cm, riv r, Value.nil) ]
+  in
+  if Random.State.bool rs then
+    ( { Checker.action = "get"; kind = Action.Idempotent; logical = id },
+      match Random.State.int rs 5 with
+      | 0 -> []
+      | 1 -> [ Event.S ("get", id) ]
+      | 2 ->
+          [ Event.S ("get", id); Event.S ("get", id); Event.C ("get", id, v7) ]
+      | _ -> [ Event.S ("get", id); Event.C ("get", id, v7) ] )
+  else
+    ( { Checker.action = "book"; kind = Action.Undoable; logical = id },
+      if Random.State.int rs 3 = 0 then
+        [
+          Event.S ("book", riv 1);
+          Event.S (cn, riv 1);
+          Event.C (cn, riv 1, Value.nil);
+        ]
+        @ round 2
+      else round 1 )
+
+(* Interleave per-group event lists at random, each group's own order
+   kept: later requests start before earlier ones settle. *)
+let interleave rs lists =
+  let pending = Array.of_list (List.filter (fun l -> l <> []) lists) in
+  let live = ref (Array.length pending) and out = ref [] in
+  while !live > 0 do
+    let i = ref (Random.State.int rs !live) in
+    (match pending.(!i) with
+    | e :: rest -> out := e :: !out; pending.(!i) <- rest
+    | [] -> ());
+    if pending.(!i) = [] then begin
+      pending.(!i) <- pending.(!live - 1);
+      decr live
+    end
+  done;
+  List.rev !out
+
+let prop_order_index_matches_naive =
+  QCheck.Test.make ~name:"R3 order: first-start index = naive scan" ~count:300
+    QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int rs 12 in
+      let groups = List.init n (random_group rs) in
+      let stray =
+        if Random.State.int rs 4 = 0 then
+          let id = Value.int 99 in
+          [ [ Event.S ("get", id); Event.C ("get", id, v7) ] ]
+        else []
+      in
+      let lists = List.map snd groups @ stray in
+      let h =
+        if Random.State.bool rs then interleave rs lists else List.concat lists
+      in
+      let r =
+        Checker.check ~kinds ~logical_of ~check_order:true
+          ~expected:(List.map fst groups) h
+      in
+      let violations, order_ok = naive_violations h r in
+      if r.Checker.violations <> violations || r.Checker.order_ok <> order_ok then
+        QCheck.Test.fail_reportf "checker:\n%s\nnaive:\n%s"
+          (String.concat "\n" r.Checker.violations)
+          (String.concat "\n" violations);
+      true)
+
+(* 20,000 requests, every start before every completion: each adjacent
+   pair is an order violation, and the check must not overflow the stack. *)
+let test_checker_order_20k_groups () =
+  let n = 20_000 in
+  let ids = List.init n Value.int in
+  let h =
+    List.map (fun id -> Event.S ("get", id)) ids
+    @ List.map (fun id -> Event.C ("get", id, v7)) ids
+  in
+  let expected =
+    List.map
+      (fun id -> { Checker.action = "get"; kind = Action.Idempotent; logical = id })
+      ids
+  in
+  let r = Checker.check ~kinds ~logical_of ~check_order:true ~expected h in
+  checkb "every group x-able" true
+    (List.for_all (fun (g : Checker.group_result) -> g.ok) r.Checker.groups);
+  checki "one violation per adjacent pair" (n - 1)
+    (List.length r.Checker.violations);
+  checkb "first violation" true
+    (List.hd r.Checker.violations
+    = Printf.sprintf "request get settled at %d, after request get started at 1" n)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -1269,6 +1409,8 @@ let () =
           tc "unexpected group" test_checker_unexpected_group;
           tc "order violation" test_checker_order_violation;
           tc "duplicate exec rejected" test_checker_duplicate_exec_rejected;
+          tc "order check over 20,000 groups" test_checker_order_20k_groups;
+          qcheck prop_order_index_matches_naive;
         ] );
       ( "properties",
         [

@@ -647,6 +647,33 @@ let test_state_context_across_requests () =
   checkb "get observes the put's state" true
     (match !got with Some v -> Value.equal v (Value.str "teal") | None -> false)
 
+(* Host-cost linearity, measured without wall time: the cleaner's work
+   per request (request states plus batch slots visited per pass, summed
+   over passes and replicas) must not grow with run length.  Before the
+   worklist cleaner every pass re-visited every state ever created, and
+   the figure grew with the number of requests. *)
+let test_cleaner_visits_linear () =
+  let visits_per_request n =
+    Xobs.set_enabled true;
+    Xobs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Xobs.set_enabled false;
+        Xobs.reset ())
+      (fun () ->
+        let r, _ =
+          run ~spec:{ base_spec with time_limit = 5_000_000 } (mixed_workload n)
+        in
+        assert_ok r;
+        match Xobs.Snapshot.find (Xobs.snapshot ()) "replica.cleaner_visits" with
+        | Some (Xobs.Snapshot.Counter v) -> float_of_int v /. float_of_int n
+        | _ -> Alcotest.fail "replica.cleaner_visits missing from snapshot")
+  in
+  let small = visits_per_request 800 and large = visits_per_request 3_200 in
+  if large > 1.25 *. small then
+    Alcotest.failf "cleaner visits/request grew from %.2f (800) to %.2f (3200)"
+      small large
+
 (* Each trial fans the three crash configurations for one generated seed
    over a shared domain pool (Xpar); 8 trials x 3 configs keeps the total
    sampled fault space the size it was when each trial drew one random
@@ -706,6 +733,8 @@ let () =
         [
           tc "mixed workload" test_failure_free;
           tc "one round per request" test_failure_free_one_round_per_request;
+          tc "cleaner visits/request flat in run length"
+            test_cleaner_visits_linear;
           tc "single replica" test_single_replica;
         ] );
       ( "crashes",
